@@ -8,8 +8,9 @@
 // harness itself (budget: < 2%), and with checksums on, pricing the
 // FNV-1a round-trip; (b) what recovery costs under the acceptance fault
 // plan (1% task throws + 0.1% block corruption), confirming the healed
-// result stays bit-identical; (c) a faulty closed-loop service with
-// retries enabled, showing the ladder answering every request.
+// result stays bit-identical; (c) a faulty closed-loop service with the
+// breaker and a fallback backend, showing the ladder answering every
+// request (the bench exits 1 if any request goes unanswered).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -46,7 +47,7 @@ double timed_seconds(Fn&& fn) {
   return sw.seconds();
 }
 
-void run(const BenchConfig& cfg) {
+bool run(const BenchConfig& cfg) {
   const index_t n = cfg.full ? 2048 : 1024;
   const index_t bs = 64;
   const int repeats = cfg.full ? 9 : 5;
@@ -159,7 +160,8 @@ void run(const BenchConfig& cfg) {
     serve::ServiceOptions so;
     so.workers = 2;
     so.cache_capacity = 0;  // every request must really solve
-    so.resilience.retry.max_attempts = 4;
+    so.resilience.breaker_enabled = true;
+    so.resilience.fallback_backend = "reference";
     serve::SolveService svc(so);
     const int requests = cfg.full ? 400 : 120;
     Stopwatch sw;
@@ -173,23 +175,29 @@ void run(const BenchConfig& cfg) {
       r.payload = s;
       futs.push_back(svc.submit(std::move(r)));
     }
-    std::uint64_t ok = 0;
-    for (auto& f : futs) ok += serve::is_success(f.get().status);
+    for (auto& f : futs) f.get();
     const double wall_s = sw.seconds();
     svc.stop();
     const auto st = svc.stats();
-    std::printf("\nFaulty service (5%% request throws, 4 attempts): "
-                "%d requests, %llu ok, %llu retries, %llu errors, %s\n",
-                requests, (unsigned long long)ok,
-                (unsigned long long)st.retries,
-                (unsigned long long)st.errors, fmt_seconds(wall_s).c_str());
+    const bool all_answered = st.responded() == st.submitted;
+    std::printf("\nFaulty service (5%% request throws, breaker + reference "
+                "fallback): %d requests, %llu ok, %llu degraded, %llu "
+                "retry-after, %llu errors, %s%s\n",
+                requests, (unsigned long long)st.completed,
+                (unsigned long long)st.degraded,
+                (unsigned long long)st.retry_after,
+                (unsigned long long)st.errors, fmt_seconds(wall_s).c_str(),
+                all_answered ? "" : ", SOME REQUESTS UNANSWERED");
     out.record()
         .set("scenario", "faulty_service")
         .set("requests", std::int64_t(requests))
-        .set("ok", std::int64_t(ok))
-        .set("retries", std::int64_t(st.retries))
+        .set("ok", std::int64_t(st.completed))
+        .set("degraded", std::int64_t(st.degraded))
+        .set("retry_after", std::int64_t(st.retry_after))
         .set("errors", std::int64_t(st.errors))
+        .set("all_answered", all_answered)
         .set("wall_s", wall_s);
+    return all_answered;
   }
 }
 
@@ -200,6 +208,5 @@ int main(int argc, char** argv) {
   using namespace cellnpdp;
   const auto cfg = BenchConfig::from_args(argc, argv);
   print_bench_header("Resilience: harness overhead and recovery cost", cfg);
-  run(cfg);
-  return 0;
+  return run(cfg) ? 0 : 1;
 }

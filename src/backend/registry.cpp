@@ -245,8 +245,7 @@ struct CellSimBackend final : SolverBackend {
 /// Self-checking serial solve: per-block retry + checksum repair
 /// (src/resilience). Bit-identical to blocked-serial on a clean run;
 /// under an active fault plan it detects injected throws/corruption and
-/// heals at block granularity. Retry budget follows ctx.retry when the
-/// caller set one, else the module default.
+/// heals at block granularity, within the module's default retry budget.
 struct ResilientBackend final : SolverBackend {
   const char* name() const override { return "resilient"; }
   Capabilities caps() const override {
@@ -261,12 +260,10 @@ struct ResilientBackend final : SolverBackend {
   BackendResult solve(const NpdpInstance<float>& inst,
                       const ExecutionContext& ctx) const override {
     require_semiring(*this, inst);
-    resilience::BlockRecoveryPolicy pol;
-    if (ctx.retry.enabled()) pol.retry = ctx.retry;
     return solve_blocked_backend(
         inst, ctx, [&](BlockedTriangularMatrix<float>& mat) {
           return resilience::solve_blocked_serial_resilient_into(mat, inst,
-                                                                 ctx, pol);
+                                                                 ctx);
         });
   }
 };

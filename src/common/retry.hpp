@@ -1,10 +1,9 @@
-// Retry policy shared by every recovery path: per-task re-execution in the
-// executor, per-block re-execution in the resilient solver, and per-request
-// attempts in the serve layer. Backoff is capped exponential with
-// deterministic jitter — a SplitMix64 stream keyed by (jitter_seed, salt,
-// attempt), so two retriers with different salts decorrelate while a rerun
-// with the same seed backs off identically (the fault-replay determinism
-// check in verify.sh depends on this).
+// Retry policy of the resilient solver's per-block re-execution, its only
+// user. Backoff is capped exponential with deterministic jitter — a
+// SplitMix64 stream keyed by (jitter_seed, salt, attempt), so two retriers
+// with different salts decorrelate while a rerun with the same seed backs
+// off identically (the fault-replay determinism check in verify.sh depends
+// on this).
 #pragma once
 
 #include <chrono>

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "common/retry.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/instance.hpp"
@@ -72,11 +71,6 @@ struct ExecutionContext {
   /// Optional shared worker pool for pool-based schedules (wavefront,
   /// Tan). Null: the solver creates a pool of tuning.threads workers.
   ThreadPool* pool = nullptr;
-
-  /// Per-task re-execution on failure (default: disabled). When enabled,
-  /// the task-queue solvers re-seed and re-run a scheduling block whose
-  /// body threw, up to retry.max_attempts, instead of aborting the solve.
-  RetryPolicy retry;
 
   bool cancelled() const { return cancel.cancelled(); }
   /// The per-memory-block check (see CancelToken::poll).

@@ -137,37 +137,17 @@ SolveStatus solve_blocked_parallel_into_s(BlockedTriangularMatrix<T>& mat,
       }
   };
 
-  // Optional per-task recovery: a scheduling block whose body threw is
-  // re-seeded (every memory block back to its post-seed() state) and
-  // re-run. Safe because dependents are only released on task success, so
-  // nobody has read the half-written blocks, and peers never write them.
-  TaskRecovery rec;
-  const TaskRecovery* recp = nullptr;
-  if (ctx.retry.enabled()) {
-    rec.retry = ctx.retry;
-    rec.reset = [&engine, m, ss_side](index_t si, index_t sj) {
-      const index_t col_lo = sj * ss_side,
-                    col_hi = std::min(m, (sj + 1) * ss_side);
-      const index_t row_lo = si * ss_side,
-                    row_hi = std::min(m, (si + 1) * ss_side);
-      for (index_t bj = col_lo; bj < col_hi; ++bj)
-        for (index_t bi = std::min(bj, row_hi - 1); bi >= row_lo; --bi)
-          engine.seed_block(bi, bj);
-    };
-    recp = &rec;
-  }
-
   ExecutorStats es;
   ExecutorStats* esp = want_stats ? &es : nullptr;
   bool completed;
   if (opts.threads <= 1) {
-    const auto order = TaskQueueExecutor::run_serial(graph, body, esp,
-                                                     ctx.cancel, recp);
+    const auto order =
+        TaskQueueExecutor::run_serial(graph, body, esp, ctx.cancel);
     completed = static_cast<index_t>(order.size()) == graph.task_count() &&
                 !ctx.cancelled();
   } else {
     completed = TaskQueueExecutor::run(graph, opts.threads, body, esp,
-                                       ctx.cancel, recp) &&
+                                       ctx.cancel) &&
                 !ctx.cancelled();
   }
   if (want_stats) {

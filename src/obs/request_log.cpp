@@ -87,8 +87,6 @@ void RequestLog::write_jsonl(std::ostream& os) const {
     w.kv("solve_ns", ev.solve_ns);
     w.kv("encode_ns", ev.encode_ns);
     w.kv("total_ns", ev.total_ns);
-    w.kv("retries", std::int64_t(ev.retries));
-    w.kv("hedged", ev.hedged);
     w.end_object();
     os << "\n";
   }

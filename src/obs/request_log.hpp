@@ -29,8 +29,6 @@ struct WideEvent {
   std::int64_t solve_ns = 0;    // solver start -> value ready
   std::int64_t encode_ns = 0;   // response serialization (net layer)
   std::int64_t total_ns = 0;    // admission -> respond
-  std::int32_t retries = 0;
-  bool hedged = false;
 };
 
 class RequestLog {

@@ -1,5 +1,6 @@
 #include "resilience/fault_injector.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +22,18 @@ bool fault_site_from_name(const std::string& name, FaultSite* out) {
   return false;
 }
 
+namespace {
+
+/// Whether `x` is finite and in [lo, hi): where the float-to-integer casts
+/// of the decoder below are defined.
+bool castable(double x, double lo, double hi) {
+  return std::isfinite(x) && x >= lo && x < hi;
+}
+
+constexpr double kTwo63 = 0x1p63, kTwo64 = 0x1p64;
+
+}  // namespace
+
 bool fault_plan_from_json_text(const std::string& text, FaultPlan* out,
                                std::string* err) {
   JsonValue root;
@@ -34,8 +47,8 @@ bool fault_plan_from_json_text(const std::string& text, FaultPlan* out,
   FaultPlan plan;
   if (root.has("seed")) {
     const JsonValue& s = root.at("seed");
-    if (!s.is_number() || s.number < 0)
-      return fail("\"seed\" must be a non-negative number");
+    if (!s.is_number() || !castable(s.number, 0, kTwo64))
+      return fail("\"seed\" must be a number in [0, 2^64)");
     plan.seed = static_cast<std::uint64_t>(s.number);
   }
   if (root.has("faults")) {
@@ -58,13 +71,14 @@ bool fault_plan_from_json_text(const std::string& text, FaultPlan* out,
       }
       if (f.has("max_fires")) {
         const JsonValue& m = f.at("max_fires");
-        if (!m.is_number()) return fail("\"max_fires\" must be a number");
+        if (!m.is_number() || !castable(m.number, -kTwo63, kTwo63))
+          return fail("\"max_fires\" must be a number in [-2^63, 2^63)");
         rule.max_fires = static_cast<std::int64_t>(m.number);
       }
       if (f.has("stall_ms")) {
         const JsonValue& m = f.at("stall_ms");
-        if (!m.is_number() || m.number < 0)
-          return fail("\"stall_ms\" must be a non-negative number");
+        if (!m.is_number() || !castable(m.number, 0, kTwo63))
+          return fail("\"stall_ms\" must be a number in [0, 2^63)");
         rule.stall_ms = static_cast<std::int64_t>(m.number);
       }
       plan.rules.push_back(rule);

@@ -2,37 +2,30 @@
 // self-healing behaviour. Everything defaults off/inert, so a service
 // configured without it behaves exactly as before this module existed.
 //
-// Degradation ladder (applied per request, in order):
-//   1. hedge      — straggler past k x latency estimate gets a twin
-//   2. retry      — failed attempt re-executed with capped backoff
-//   3. fallback   — breaker-denied or retry-exhausted request re-runs on
+// Degradation ladder (applied per request, around the one solve attempt
+// on the primary backend):
+//   1. breaker    — an open per-backend breaker skips the primary outright
+//   2. fallback   — a breaker-denied or failed request re-runs on
 //                   fallback_backend, answering Degraded
-//   4. shed       — no fallback: answer RetryAfter with a back-off hint
+//   3. shed       — no fallback: a breaker-denied request answers
+//                   RetryAfter with a back-off hint, a failed one Error
 #pragma once
 
 #include <chrono>
 #include <string>
 
-#include "common/retry.hpp"
 #include "resilience/circuit_breaker.hpp"
-#include "resilience/hedge.hpp"
 
 namespace cellnpdp::resilience {
 
 struct ResiliencePolicy {
-  /// Per-request retry of failed solve attempts (default: single attempt).
-  RetryPolicy retry;
-
   /// Per-backend circuit breaking (default: off).
   bool breaker_enabled = false;
   BreakerPolicy breaker;
 
-  /// Backend to degrade onto when the primary is broken or exhausted;
-  /// empty disables the fallback rung.
+  /// Backend to degrade onto when the primary is broken or fails; empty
+  /// disables the fallback rung.
   std::string fallback_backend;
-
-  /// Straggler hedging (default: off).
-  HedgePolicy hedge;
 
   /// RetryAfter hint floor when shedding without a breaker cooldown.
   std::chrono::milliseconds retry_after{250};

@@ -29,8 +29,8 @@
 namespace cellnpdp::resilience {
 
 struct BlockRecoveryPolicy {
-  /// Retry budget per block; defaults on, unlike ExecutionContext::retry,
-  /// because being self-healing is this solver's purpose.
+  /// Retry budget per block; defaults on, because being self-healing is
+  /// this solver's purpose.
   RetryPolicy retry{/*max_attempts=*/4};
   /// Checksum every block after relaxation and repair mismatches.
   bool checksums = true;

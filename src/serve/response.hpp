@@ -20,7 +20,7 @@ enum class Status {
               ///< service stopped without draining
   Error,      ///< the solver threw; detail carries the message
   Degraded,   ///< solved, but on the fallback backend (primary broken or
-              ///< exhausted its retry budget) — a success with an asterisk
+              ///< its one attempt failed) — a success with an asterisk
   RetryAfter, ///< not solved: the backend's circuit breaker is open and no
               ///< fallback exists; retry_after_ms hints when to come back
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <variant>
@@ -70,8 +69,6 @@ SolveService::SolveService(ServiceOptions opts)
       buckets_.emplace(std::piecewise_construct, std::forward_as_tuple(tid),
                        std::forward_as_tuple(pol.rate, pol.burst));
   }
-  if (opts_.resilience.hedge.enabled)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -89,9 +86,6 @@ SolveService::Item SolveService::make_item(Request req) {
   p->cancel = p->req.has_deadline()
                   ? CancelToken::with_deadline(p->req.deadline)
                   : CancelToken::armed();
-  // Armed up front so the watchdog can hand the token to a hedge twin
-  // without racing token assignment against the twin's poll loop.
-  if (opts_.resilience.hedge.enabled) p->hedge_cancel = CancelToken::armed();
   return p;
 }
 
@@ -191,35 +185,21 @@ void SolveService::submit(Request req, std::function<void(Response)> on_done) {
 void SolveService::stop(bool drain) {
   std::lock_guard lk(stop_mu_);
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
-  // Quiesce the watchdog first so no new hedge twins launch while the
-  // pipeline is coming down.
-  watchdog_stop_.store(true, std::memory_order_release);
-  if (watchdog_.joinable()) watchdog_.join();
-  if (!drain) cancel_queued_.store(true, std::memory_order_release);
-  {
-    // Shutdown never waits on work whose answer cannot matter. Hedge
-    // twins are released unconditionally — their primaries drain to
-    // completion, so a twin at shutdown is pure redundancy — and a
-    // primary whose twin already won the respond() race is a zombie that
-    // would otherwise hold the final wait_idle() hostage. With
-    // drain=false every in-flight solve is aborted: the armed tokens
-    // reach the workers at their next per-block poll and free them
-    // within a block's worth of work; run_batch answers those requests
-    // with Status::Cancelled.
+  if (!drain) {
+    cancel_queued_.store(true, std::memory_order_release);
+    // Every in-flight solve is aborted: the armed tokens reach the workers
+    // at their next per-block poll and free them within a block's worth
+    // of work; run_batch answers those requests with Status::Cancelled.
     std::lock_guard ilk(inflight_mu_);
     for (const auto& w : inflight_reqs_)
-      if (auto it = w.lock()) {
-        it->hedge_cancel.request_cancel(CancelReason::Shutdown);
-        if (!drain || it->responded.load(std::memory_order_acquire))
-          it->cancel.request_cancel(CancelReason::Shutdown);
-      }
+      if (auto it = w.lock()) it->cancel.request_cancel(CancelReason::Shutdown);
   }
   queue_.close();
   if (dispatcher_.joinable()) dispatcher_.join();
   // The dispatcher's last act was a wait_idle(), but repeat it here so no
-  // pool job — hedge twin included — can outlive stop() and touch members
-  // mid-destruction (pool_ is also declared to be destroyed first; this
-  // keeps stop()'s contract independent of member order).
+  // pool job can outlive stop() and touch members mid-destruction (pool_ is
+  // also declared to be destroyed first; this keeps stop()'s contract
+  // independent of member order).
   pool_.wait_idle();
 }
 
@@ -307,7 +287,6 @@ void SolveService::run_batch(const Batch<Item>& batch) {
       obs::metrics().counter("serve.expired").add();
       respond(it, Status::Expired, 0, {}, queue_ns);
     } else {
-      it->queue_ns.store(queue_ns, std::memory_order_relaxed);
       it->started_ns.store(steady_now_ns(), std::memory_order_release);
       solve_one(it, picked_up, queue_ns);
     }
@@ -343,18 +322,9 @@ void SolveService::solve_one(const Item& it, Clock::time_point picked_up,
           ? &resilience::breakers().breaker(breaker_key(it->req), rp.breaker)
           : nullptr;
 
-  // Whatever this request's fate, a hedge twin must not outlive it: every
-  // terminal path below releases the twin so it stops at its next
-  // per-block poll instead of solving to completion for nobody. Harmless
-  // when the twin already finished (or won — respond() is first-finisher).
-  const auto release_twin = [&it] {
-    if (it->hedged.load(std::memory_order_acquire))
-      it->hedge_cancel.request_cancel(CancelReason::Requested);
-  };
-
   if (br != nullptr && !br->allow()) {
-    // Rung 3/4 of the ladder without even attempting the primary: the
-    // breaker says the backend is sick right now.
+    // The breaker says the backend is sick right now: skip the primary
+    // and go straight to the fallback rung, else shed with RetryAfter.
     if (!try_fallback(it, picked_up, queue_ns)) {
       const std::int64_t hint = std::max<std::int64_t>(
           br->retry_after_ms(), rp.retry_after.count());
@@ -362,80 +332,43 @@ void SolveService::solve_one(const Item& it, Clock::time_point picked_up,
                   "circuit open: " + breaker_key(it->req), queue_ns, 0, hint))
         ++retry_after_;
     }
-    release_twin();
     return;
   }
 
-  // Rung 2: the primary backend, re-executed up to the retry budget with
-  // capped exponential backoff. Every failed attempt feeds the breaker;
-  // cancellation feeds nothing (the backend did nothing wrong) but does
-  // hand back a half-open probe slot, or the breaker could wedge.
-  const int max_attempts = rp.retry.enabled() ? rp.retry.max_attempts : 1;
-  SolveOutcome o;
-  std::int64_t attempt_ns = 0;  ///< last attempt only, no backoff sleeps
-  for (int attempt = 1;; ++attempt) {
-    const Clock::time_point attempt_start = Clock::now();
-    o = pool_.execute(it->req, it->cancel, opts_.backend);
-    attempt_ns = ns_between(attempt_start, Clock::now());
-    if (o.cancelled) {
-      if (br != nullptr) br->record_abandoned();
-      break;
-    }
-    if (o.ok) {
-      if (br != nullptr) br->record_success();
-      break;
-    }
-    if (br != nullptr) br->record_failure();
-    if (attempt >= max_attempts || it->req.expired() ||
-        it->responded.load(std::memory_order_acquire))
-      break;
-    ++retries_;
-    it->attempts_retried.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("serve.retries").add();
-    CELLNPDP_TRACE_INSTANT("serve", "retry",
-                           static_cast<std::int64_t>(it->req.id), attempt);
-    const auto delay = rp.retry.backoff(attempt + 1, it->req.id);
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+  // One attempt on the primary backend: solves are deterministic, so
+  // running a failed one again would only repeat it. A failure feeds the
+  // breaker; cancellation feeds nothing (the backend did nothing wrong)
+  // but does hand back a half-open probe slot, or the breaker could wedge.
+  const SolveOutcome o = pool_.execute(it->req, it->cancel, opts_.backend);
+  if (br != nullptr) {
+    if (o.cancelled)
+      br->record_abandoned();
+    else if (o.ok)
+      br->record_success();
+    else
+      br->record_failure();
   }
 
   const std::int64_t solve_ns = ns_between(picked_up, Clock::now());
   if (o.cancelled) {
-    // Aborted mid-solve (deadline passed, stop(drain=false), or a hedge
-    // twin won and cancelled us — then this respond loses the race and is
-    // a no-op). Never cached: the arena held a partial result.
+    // Aborted mid-solve (deadline passed or stop(drain=false)). Never
+    // cached: the arena held a partial result.
     respond(it, Status::Cancelled, 0, o.error, queue_ns, solve_ns);
-    release_twin();
     return;
   }
   if (!o.ok) {
-    // The twin may have answered while the primary burned its retries; a
-    // fallback solve would only compute a result that loses the respond()
-    // race — skip straight to releasing the twin.
-    if (!it->responded.load(std::memory_order_acquire) &&
-        try_fallback(it, picked_up, queue_ns)) {
-      release_twin();
-      return;
-    }
-    respond(it, Status::Error, 0, o.error, queue_ns, solve_ns);
-    release_twin();
+    if (!try_fallback(it, picked_up, queue_ns))
+      respond(it, Status::Error, 0, o.error, queue_ns, solve_ns);
     return;
   }
-  // The straggler estimator sees only the successful attempt's duration:
-  // backoff sleeps and failed attempts are not solve latency, and folding
-  // them in would inflate the EWMA and suppress exactly the hedging a
-  // flaky shape needs.
-  estimator_.observe(shape_key(it->req), attempt_ns);
   // Cache before responding, so a caller that resubmits the moment its
-  // future resolves observes the hit. Losing the first-finisher race
-  // below is harmless: primary and twin computed the same request, so
-  // whichever result lands in the cache is the right one. The fill is
-  // charged against the submitting tenant's byte quota.
+  // future resolves observes the hit. The fill is charged against the
+  // submitting tenant's byte quota.
   CachedResult fill{o.value, o.detail, o.backend_used};
   const std::size_t fill_bytes = cached_bytes_of(fill);
   cache_.put(it->hash, std::move(fill), it->req.tenant, fill_bytes);
   respond(it, Status::Ok, o.value, o.detail, queue_ns, solve_ns, 0,
           o.backend_used);
-  release_twin();
 }
 
 bool SolveService::try_fallback(const Item& it, Clock::time_point picked_up,
@@ -462,75 +395,6 @@ bool SolveService::try_fallback(const Item& it, Clock::time_point picked_up,
     obs::metrics().counter("serve.fallbacks").add();
   }
   return true;
-}
-
-void SolveService::watchdog_loop() {
-  obs::Tracer::instance().name_this_thread("serve watchdog");
-  const resilience::HedgePolicy& hp = opts_.resilience.hedge;
-  const std::int64_t min_delay_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(hp.min_delay)
-          .count();
-  while (!watchdog_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const std::int64_t now_ns = steady_now_ns();
-    std::vector<Item> to_hedge;
-    {
-      std::lock_guard lk(inflight_mu_);
-      for (const auto& w : inflight_reqs_) {
-        const Item it = w.lock();
-        if (it == nullptr) continue;
-        if (!std::holds_alternative<SolveSpec>(it->req.payload)) continue;
-        if (it->responded.load(std::memory_order_acquire)) continue;
-        if (it->hedged.load(std::memory_order_acquire)) continue;
-        const std::int64_t started =
-            it->started_ns.load(std::memory_order_acquire);
-        if (started == 0) continue;  // dispatched, not picked up yet
-        const std::int64_t est =
-            estimator_.estimate_ns(shape_key(it->req), hp.min_samples);
-        if (est <= 0) continue;  // estimate still cold: never hedge blind
-        const std::int64_t trigger = std::max<std::int64_t>(
-            static_cast<std::int64_t>(hp.k * static_cast<double>(est)),
-            min_delay_ns);
-        if (now_ns - started > trigger) {
-          it->hedged.store(true, std::memory_order_release);
-          to_hedge.push_back(it);
-        }
-      }
-    }
-    for (const Item& it : to_hedge) launch_hedge(it);
-  }
-}
-
-void SolveService::launch_hedge(const Item& it) {
-  ++hedges_;
-  obs::metrics().counter("serve.hedges").add();
-  CELLNPDP_TRACE_INSTANT("serve", "hedge",
-                         static_cast<std::int64_t>(it->req.id));
-  pool_.submit([this, it] {
-    if (it->responded.load(std::memory_order_acquire)) return;
-    const Clock::time_point started = Clock::now();
-    Request copy = it->req;
-    // Prefer a different engine for the twin when one is configured — a
-    // straggler often means the primary backend is the problem.
-    if (!opts_.resilience.fallback_backend.empty())
-      std::get<SolveSpec>(copy.payload).backend =
-          opts_.resilience.fallback_backend;
-    const SolveOutcome o = pool_.execute(copy, it->hedge_cancel, opts_.backend);
-    if (!o.ok) return;  // lost (cancelled) or failed: the primary answers
-    const std::int64_t solve_ns = ns_between(started, Clock::now());
-    CachedResult fill{o.value, o.detail, o.backend_used};
-    const std::size_t fill_bytes = cached_bytes_of(fill);
-    cache_.put(it->hash, std::move(fill), it->req.tenant, fill_bytes);
-    if (respond(it, Status::Ok, o.value, o.detail,
-                it->queue_ns.load(std::memory_order_relaxed), solve_ns, 0,
-                o.backend_used)) {
-      ++hedge_wins_;
-      obs::metrics().counter("serve.hedge_wins").add();
-      estimator_.observe(shape_key(it->req), solve_ns);
-      // Free the stalled primary worker at its next per-block poll.
-      it->cancel.request_cancel(CancelReason::Requested);
-    }
-  });
 }
 
 bool SolveService::respond(const Item& it, Status st, double value,
@@ -669,8 +533,6 @@ bool SolveService::respond(const Item& it, Status st, double value,
     we.batch_ns = batch_span_ns;
     we.solve_ns = solve_ns;
     we.total_ns = resp.total_ns;
-    we.retries = it->attempts_retried.load(std::memory_order_relaxed);
-    we.hedged = it->hedged.load(std::memory_order_relaxed);
     rl.append(std::move(we));
   }
 
@@ -695,9 +557,6 @@ ServiceStats SolveService::stats() const {
   s.degraded = degraded_.load();
   s.retry_after = retry_after_.load();
   s.throttled = throttled_.load();
-  s.retries = retries_.load();
-  s.hedges = hedges_.load();
-  s.hedge_wins = hedge_wins_.load();
   s.fallbacks = fallbacks_.load();
   s.batches = batches_.load();
   s.cache_misses = cache_.misses();

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "resilience/hedge.hpp"
 #include "resilience/policy.hpp"
 #include "serve/batcher.hpp"
 #include "serve/queue.hpp"
@@ -49,8 +48,8 @@ struct ServiceOptions {
   index_t batch_max_size = 512;       ///< batch only instances this small
   std::string backend = "blocked-serial";  ///< default solve backend; a
                                            ///< request's own backend= wins
-  /// Self-healing behaviour: retries, per-backend circuit breaking,
-  /// fallback backend, straggler hedging. Defaults entirely inert.
+  /// Self-healing behaviour: per-backend circuit breaking and a fallback
+  /// backend. Defaults entirely inert.
   resilience::ResiliencePolicy resilience;
   /// Per-tenant QoS: token-bucket admission rates, fair-share weights,
   /// cache byte quotas. Defaults empty — every request lands on the
@@ -96,9 +95,6 @@ struct ServiceStats {
   std::uint64_t throttled = 0;
   std::uint64_t degraded = 0;     ///< Status::Degraded (fallback backend)
   std::uint64_t retry_after = 0;  ///< Status::RetryAfter (breaker open)
-  std::uint64_t retries = 0;      ///< failed attempts re-executed
-  std::uint64_t hedges = 0;       ///< hedge twins launched
-  std::uint64_t hedge_wins = 0;   ///< hedge finished before the primary
   std::uint64_t fallbacks = 0;    ///< solves answered by the fallback rung
   std::uint64_t batches = 0;
   std::uint64_t cache_misses = 0;
@@ -129,7 +125,7 @@ class SolveService {
 
   /// Callback form for network front-ends: `on_done` is invoked exactly
   /// once with the terminal response, from whichever thread delivers it —
-  /// the dispatcher, a worker, the hedge watchdog, or the submitting
+  /// the dispatcher, a worker, or the submitting
   /// thread itself when admission refuses the request synchronously. The
   /// callback must be fast and must not block (it runs on serving hot
   /// paths) and must tolerate firing after the caller has lost interest:
@@ -142,10 +138,8 @@ class SolveService {
   /// requests with Status::Cancelled and trips the cancel token of every
   /// in-flight solve, so workers abort cooperatively at their next
   /// memory-block poll instead of running to completion. Either way no
-  /// pool job outlives the call: hedge twins are released unconditionally,
-  /// a primary whose twin already answered is aborted (its result can no
-  /// longer matter), and stop() waits for the pool to go idle before
-  /// returning. Idempotent; submit() after stop() rejects.
+  /// pool job outlives the call: stop() waits for the pool to go idle
+  /// before returning. Idempotent; submit() after stop() rejects.
   void stop(bool drain = true);
 
   ServiceStats stats() const;
@@ -163,24 +157,15 @@ class SolveService {
     /// the deadline wired in when the request carries one, so both deadline
     /// expiry and stop(drain=false) abort the solve mid-flight.
     CancelToken cancel;
-    /// First-finisher-wins guard: whoever flips this owns the response
-    /// (primary worker, hedge twin, or a shutdown path).
+    /// Exactly-once guard: whoever flips this owns the response (a
+    /// worker or a shutdown path).
     std::atomic<bool> responded{false};
     /// Steady-clock ns when a worker picked the request up (0 = not yet);
-    /// the hedge watchdog computes elapsed time from this.
+    /// pickup - dispatch is the batch span of the request's trace.
     std::atomic<std::int64_t> started_ns{0};
-    std::atomic<std::int64_t> queue_ns{0};  ///< for the hedge response
     /// Steady-clock ns when the dispatcher popped the request (0 = still
     /// queued); pickup - dispatch is the time spent waiting in a batch.
     std::atomic<std::int64_t> dispatch_ns{0};
-    /// Failed attempts re-executed for *this* request (wide-event field;
-    /// the service-wide total lives in retries_).
-    std::atomic<std::int32_t> attempts_retried{0};
-    std::atomic<bool> hedged{false};        ///< a twin has been launched
-    /// Separate token for the hedge twin, so the winner can cancel the
-    /// loser without tripping its own solve. Armed at submit when hedging
-    /// is enabled; inert otherwise.
-    CancelToken hedge_cancel;
   };
   using Item = std::shared_ptr<Pending>;
 
@@ -206,8 +191,8 @@ class SolveService {
   /// map is built in the constructor and never mutated after, so lookups
   /// are lock-free.
   TokenBucket* bucket_for(std::uint16_t tenant);
-  /// Delivers the response if this caller wins the first-finisher race;
-  /// returns whether it did (losers are silent no-ops). `backend` is the
+  /// Delivers the response unless one was already delivered; returns
+  /// whether it did (later calls are silent no-ops). `backend` is the
   /// effective engine name reported back to the caller.
   bool respond(const Item& it, Status st, double value = 0,
                std::string detail = {}, std::int64_t queue_ns = 0,
@@ -215,7 +200,7 @@ class SolveService {
                std::string backend = {});
 
   // --- resilience ladder (see docs/resilience.md) ---
-  /// Executes one dispatched request through breaker -> retry ->
+  /// Executes one dispatched request through breaker -> one attempt ->
   /// fallback -> shed; responds whatever happens.
   void solve_one(const Item& it, Clock::time_point picked_up,
                  std::int64_t queue_ns);
@@ -227,8 +212,6 @@ class SolveService {
   /// Breaker key for a request: resolved backend name for solves, the
   /// fixed engine name for folds/parses.
   std::string breaker_key(const Request& req) const;
-  void watchdog_loop();
-  void launch_hedge(const Item& it);
 
   const ServiceOptions opts_;
   AdmissionQueue<Item> queue_;
@@ -254,8 +237,8 @@ class SolveService {
   // Terminal-status counters (see ServiceStats).
   std::atomic<std::uint64_t> submitted_{0}, completed_{0}, cache_hits_{0},
       rejected_{0}, shed_{0}, expired_{0}, cancelled_{0}, errors_{0},
-      degraded_{0}, retry_after_{0}, throttled_{0}, retries_{0}, hedges_{0},
-      hedge_wins_{0}, fallbacks_{0}, batches_{0};
+      degraded_{0}, retry_after_{0}, throttled_{0}, fallbacks_{0},
+      batches_{0};
 
   /// Dense per-tenant counters, indexed by tenant id (ids are < 256 by
   /// construction: the wire decoder, the line parser, and admit() all
@@ -277,18 +260,12 @@ class SolveService {
   /// the constructor.
   std::map<std::uint16_t, TokenBucket> buckets_;
 
-  /// Per-shape solve latency EWMAs feeding the hedge watchdog.
-  resilience::LatencyEstimator estimator_;
-
-  /// Declared after everything its jobs touch (cache_, estimator_, the
+  /// Declared after everything its jobs touch (cache_, the
   /// counters, the inflight bookkeeping): members are destroyed in
   /// reverse declaration order, so the pool — whose ThreadPool joins its
   /// workers on destruction — goes down first, and any straggling job
   /// finishes while those members are still alive.
   SolverPool pool_;
-
-  std::atomic<bool> watchdog_stop_{false};
-  std::thread watchdog_;  ///< only started when resilience.hedge.enabled
 
   std::thread dispatcher_;  ///< started last, so members above are ready
 };

@@ -88,8 +88,8 @@ SolveOutcome SolverPool::execute(const Request& req, const CancelToken& cancel,
   SolveOutcome out;
   try {
     // Fault site for the serve pipeline: a request-level throw exercises
-    // the retry/breaker/fallback ladder, a stall makes this request a
-    // straggler for the hedge watchdog. Zero cost with no hook installed.
+    // the breaker/fallback ladder, a stall makes this request a straggler
+    // that only its deadline bounds. Zero cost with no hook installed.
     maybe_inject_task_fault(static_cast<std::int64_t>(req.id),
                             static_cast<std::int64_t>(req.payload.index()));
     if (const auto* s = std::get_if<SolveSpec>(&req.payload)) {

@@ -24,7 +24,6 @@ struct SchedMetrics {
   obs::Counter& tasks = obs::metrics().counter("sched.tasks");
   obs::Counter& enqueued = obs::metrics().counter("sched.enqueued");
   obs::Counter& abandoned = obs::metrics().counter("sched.cancelled_tasks");
-  obs::Counter& retries = obs::metrics().counter("sched.task_retries");
   obs::Counter& failures = obs::metrics().counter("sched.task_failures");
   obs::Histogram& task_ns = obs::metrics().histogram("sched.task_ns");
   obs::Histogram& ready_depth = obs::metrics().histogram("sched.ready_depth");
@@ -34,44 +33,11 @@ struct SchedMetrics {
   }
 };
 
-/// One task execution with the task-granular fault-injection site and the
-/// retry loop. Throws (the last failure) once attempts are exhausted; a
-/// tripped cancel token also stops retrying — there is no point re-running
-/// work whose run is being abandoned.
-void run_task_with_recovery(const TaskQueueExecutor::TaskFn& body,
-                            index_t si, index_t sj,
-                            const TaskRecovery* recovery,
-                            const CancelToken& cancel, SchedMetrics& sm) {
-  int attempt = 1;
-  for (;;) {
-    try {
-      maybe_inject_task_fault(si, sj);
-      body(si, sj);
-      return;
-    } catch (...) {
-      if (recovery == nullptr || attempt >= recovery->retry.max_attempts ||
-          cancel.cancelled()) {
-        sm.failures.add();
-        throw;
-      }
-      sm.retries.add();
-      CELLNPDP_TRACE_INSTANT("sched", "task_retry", si, sj);
-      const auto delay = recovery->retry.backoff(
-          attempt + 1, (static_cast<std::uint64_t>(si) << 32) ^
-                           static_cast<std::uint64_t>(sj));
-      if (delay.count() > 0) std::this_thread::sleep_for(delay);
-      if (recovery->reset) recovery->reset(si, sj);
-      ++attempt;
-    }
-  }
-}
-
 }  // namespace
 
 bool TaskQueueExecutor::run(const BlockDependenceGraph& graph,
                             std::size_t threads, const TaskFn& body,
-                            ExecutorStats* stats, const CancelToken& cancel,
-                            const TaskRecovery* recovery) {
+                            ExecutorStats* stats, const CancelToken& cancel) {
   threads = std::max<std::size_t>(1, threads);
   SchedMetrics& sm = SchedMetrics::get();
 
@@ -86,7 +52,7 @@ bool TaskQueueExecutor::run(const BlockDependenceGraph& graph,
   std::vector<index_t> ntasks(threads, 0);
   index_t executed = 0;             // guarded by mu
   bool failed = false;              // guarded by mu
-  std::exception_ptr failure;       // first exhausted-retries throw
+  std::exception_ptr failure;       // first task body throw
   const std::int64_t t_start = now_ns();
 
   auto worker = [&](std::size_t w) {
@@ -122,8 +88,10 @@ bool TaskQueueExecutor::run(const BlockDependenceGraph& graph,
       {
         CELLNPDP_TRACE_SPAN("sched", "task", si, sj);
         try {
-          run_task_with_recovery(body, si, sj, recovery, cancel, sm);
+          maybe_inject_task_fault(si, sj);
+          body(si, sj);
         } catch (...) {
+          sm.failures.add();
           task_err = std::current_exception();
         }
       }
@@ -131,7 +99,7 @@ bool TaskQueueExecutor::run(const BlockDependenceGraph& graph,
       busy_ns[w] += dt;
       lk.lock();
       if (task_err) {
-        // Retries exhausted: abort the run. The first failure wins the
+        // A task failed: abort the run. The first failure wins the
         // rethrow; the task's tracker entry stays open so the graph winds
         // down as abandoned rather than complete.
         if (!failure) failure = task_err;
@@ -192,8 +160,7 @@ bool TaskQueueExecutor::run(const BlockDependenceGraph& graph,
 
 std::vector<index_t> TaskQueueExecutor::run_serial(
     const BlockDependenceGraph& graph, const TaskFn& body,
-    ExecutorStats* stats, const CancelToken& cancel,
-    const TaskRecovery* recovery) {
+    ExecutorStats* stats, const CancelToken& cancel) {
   SchedMetrics& sm = SchedMetrics::get();
   ReadyTracker tracker(graph);
   std::deque<index_t> ready;
@@ -213,8 +180,10 @@ std::vector<index_t> TaskQueueExecutor::run_serial(
     {
       CELLNPDP_TRACE_SPAN("sched", "task", si, sj);
       try {
-        run_task_with_recovery(body, si, sj, recovery, cancel, sm);
+        maybe_inject_task_fault(si, sj);
+        body(si, sj);
       } catch (...) {
+        sm.failures.add();
         failure = std::current_exception();
       }
     }

@@ -26,12 +26,9 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "common/retry.hpp"
 #include "taskgraph/dependence_graph.hpp"
 
 namespace cellnpdp {
-
-struct TaskRecovery;
 
 /// What one executor run measured. Busy time is the time spent inside
 /// task bodies; idle is wall_seconds - busy (queue waits + wakeups).
@@ -59,37 +56,22 @@ class TaskQueueExecutor {
   /// abandoned mid-graph. Fills `stats` (when non-null) with wall/busy
   /// accounting either way.
   ///
-  /// Failure semantics: a task body that throws is retried per `recovery`
-  /// (when given); a task that still fails after its attempts aborts the
-  /// run — no further tasks are released, every worker winds down after
-  /// its current task, and the first failure is rethrown (after `stats`
-  /// is filled) once all workers have returned.
+  /// Failure semantics: a task body that throws aborts the run — no
+  /// further tasks are released, every worker winds down after its current
+  /// task, and the first failure is rethrown (after `stats` is filled)
+  /// once all workers have returned.
   static bool run(const BlockDependenceGraph& graph, std::size_t threads,
                   const TaskFn& body, ExecutorStats* stats = nullptr,
-                  const CancelToken& cancel = {},
-                  const TaskRecovery* recovery = nullptr);
+                  const CancelToken& cancel = {});
 
   /// Serial reference executor; additionally records completion order so
   /// tests can validate the schedule against the full dependence relation.
   /// A cancelled run returns the (shorter) prefix it completed. Same
-  /// retry/rethrow semantics as run().
+  /// rethrow semantics as run().
   static std::vector<index_t> run_serial(const BlockDependenceGraph& graph,
                                          const TaskFn& body,
                                          ExecutorStats* stats = nullptr,
-                                         const CancelToken& cancel = {},
-                                         const TaskRecovery* recovery =
-                                             nullptr);
-};
-
-/// Per-task re-execution policy. A failed task is re-run in place by the
-/// worker that hit the failure, after `reset` (when set) restores the
-/// task's output region to its seeded state — required for general-mode
-/// instances, where finalize_cell over a partially relaxed block is not
-/// idempotent. Dependents are only ever released on success, so a re-run
-/// never races with readers of the task's blocks.
-struct TaskRecovery {
-  RetryPolicy retry;
-  TaskQueueExecutor::TaskFn reset;  ///< may be null (pure re-run)
+                                         const CancelToken& cancel = {});
 };
 
 }  // namespace cellnpdp

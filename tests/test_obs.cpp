@@ -327,7 +327,6 @@ TEST(RequestLog, AppendsAnnotatesSamplesAndWritesJsonl) {
   ev.queue_ns = 1000;
   ev.solve_ns = 2000;
   ev.total_ns = 3500;
-  ev.retries = 1;
   log.append(ev);
   log.annotate_encode(7, 450);
 
@@ -350,7 +349,6 @@ TEST(RequestLog, AppendsAnnotatesSamplesAndWritesJsonl) {
   EXPECT_EQ(root.at("solve_ns").number, 2000);
   EXPECT_EQ(root.at("encode_ns").number, 450);
   EXPECT_EQ(root.at("total_ns").number, 3500);
-  EXPECT_EQ(root.at("retries").number, 1);
 
   // Ring keeps the newest `capacity` records.
   for (std::uint64_t i = 0; i < 20; ++i) {

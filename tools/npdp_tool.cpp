@@ -3,7 +3,7 @@
 //   npdp solve     --n 4096 [--backend blocked-parallel] [--kernel simd128]
 //                  [--block 64] [--threads 8] [--seed 1] [--deadline-ms 50]
 //                  [--semiring min-plus|max-plus|counting|viterbi-log]
-//                  [--maxplus] [--save table.bin] [--retries 4]
+//                  [--maxplus] [--save table.bin]
 //                  [--fault-plan plan.json] [--fault-log fired.json]
 //                  [--trace out.json] [--metrics out.json] [--report]
 //   npdp backends  list the registered solver backends, capabilities, and
@@ -25,13 +25,12 @@
 //   npdp model     --n 4096 [--spes 16]
 //   npdp serve     --requests <file|-> [--workers 4] [--queue 256]
 //                  [--policy block|reject|shed] [--cache 1024] [--batch 8]
-//                  [--backend blocked-serial] [--retries 3] [--breaker]
-//                  [--fallback reference] [--hedge] [--fault-plan plan.json]
+//                  [--backend blocked-serial] [--breaker]
+//                  [--fallback reference] [--fault-plan plan.json]
 //   npdp bench-serve --requests 1000 [--workers 4] [--mode closed|open]
 //                  [--concurrency 8] [--rate 500] [--distinct 25]
 //                  [--policy block] [--json-dir .] [--backend blocked-serial]
-//                  [--retries 3] [--breaker] [--fallback NAME] [--hedge]
-//                  [--fault-plan plan.json]
+//                  [--breaker] [--fallback NAME] [--fault-plan plan.json]
 //   npdp net-serve [--host 127.0.0.1] [--port 9377] [--reactors 2]
 //                  [--max-frame 1048576] [--idle-timeout-ms 30000]
 //                  [--drain-timeout-ms 5000] [--port-file FILE]
@@ -260,9 +259,6 @@ int cmd_solve(const Args& a) {
   if (a.has("deadline-ms"))
     ctx.cancel =
         CancelToken::after(std::chrono::milliseconds(a.num("deadline-ms", 0)));
-  if (a.has("retries"))
-    ctx.retry.max_attempts =
-        std::max(1, static_cast<int>(a.num("retries", 1)));
 
   double value = 0, sim_s = 0;
   std::shared_ptr<BlockedTriangularMatrix<float>> table;
@@ -909,15 +905,11 @@ serve::ServiceOptions service_options_from(const Args& a) {
     so.backend = a.get("backend");
   }
   // Resilience ladder knobs (all default-off; see docs/resilience.md).
-  if (a.has("retries"))
-    so.resilience.retry.max_attempts =
-        std::max(1, static_cast<int>(a.num("retries", 1)));
   if (a.has("breaker")) so.resilience.breaker_enabled = true;
   if (a.has("fallback")) {
     backend_from(a.get("fallback"));  // validate the name up front
     so.resilience.fallback_backend = a.get("fallback");
   }
-  if (a.has("hedge")) so.resilience.hedge.enabled = true;
   // Multi-tenant QoS policies: --tenants "1:name=hot:rate=500:burst=50:
   // weight=1:cache-kb=64/2:name=quiet:weight=4" (entries separated by
   // '/', fields by ':', first field the numeric tenant id).
@@ -992,13 +984,6 @@ int cmd_serve(const Args& a) {
               static_cast<unsigned long long>(st.errors),
               static_cast<unsigned long long>(st.batches),
               static_cast<unsigned long long>(st.arena_reuses));
-  if (st.retries + st.hedges + st.fallbacks > 0)
-    std::printf("resilience: %llu retries, %llu hedges (%llu wins), "
-                "%llu fallbacks\n",
-                static_cast<unsigned long long>(st.retries),
-                static_cast<unsigned long long>(st.hedges),
-                static_cast<unsigned long long>(st.hedge_wins),
-                static_cast<unsigned long long>(st.fallbacks));
   return any_error ? 1 : 0;
 }
 
@@ -1159,9 +1144,6 @@ int cmd_bench_serve(const Args& a) {
       .set("arena_allocations", std::int64_t(st.arena_allocations))
       .set("degraded", std::int64_t(st.degraded))
       .set("retry_after", std::int64_t(st.retry_after))
-      .set("retries", std::int64_t(st.retries))
-      .set("hedges", std::int64_t(st.hedges))
-      .set("hedge_wins", std::int64_t(st.hedge_wins))
       .set("fallbacks", std::int64_t(st.fallbacks));
   json.flush();
   return 0;
