@@ -1,6 +1,7 @@
 // Ablation benches for the design choices DESIGN.md calls out:
 //   (1) scheduling-block size (task-scheduling overhead vs parallel slack);
-//   (2) register caching in the computing-block kernel (80 vs 128 instrs);
+//   (2) register caching in the computing-block kernel (80 vs 128 instrs
+//       on the SPU model; per-tile vs register-blocked stage 1 on the host);
 //   (3) 128-bit vs 256-bit kernels on the host CPU;
 //   (4) simplified (left+below) dependence graph vs full-graph release
 //       timing — measured as simulated makespan with forced serial chains.
@@ -38,7 +39,26 @@ void ablate_sched_block(const BenchConfig&) {
               "but coarsen the wavefront; the paper picks small multiples)\n");
 }
 
-void ablate_register_caching(const BenchConfig&) {
+/// Stage-1 relaxations per second of an n-cell table: every middle block
+/// pair of every off-diagonal block, in the serial driver's order, relaxed
+/// by `pair(C, A, B)`. Best of 3.
+template <class Pair>
+double stage1_rate(BlockedTriangularMatrix<float>& mat, Pair&& pair) {
+  const index_t m = mat.blocks_per_side(), bs = mat.block_side();
+  double best = 1e100, pairs = 0;
+  for (int round = 0; round < 3; ++round) {
+    pairs = 0;
+    Stopwatch sw;
+    for (index_t bj = 0; bj < m; ++bj)
+      for (index_t bi = bj - 1; bi >= 0; --bi)
+        for (index_t mk = bi + 1; mk < bj; ++mk, ++pairs)
+          pair(mat.block(bi, bj), mat.block(bi, mk), mat.block(mk, bj));
+    best = std::min(best, sw.seconds());
+  }
+  return pairs * double(bs * bs * bs) / best;
+}
+
+void ablate_register_caching(const BenchConfig&, BenchJson& json) {
   std::printf("\n(2) Kernel register caching (SPU pipeline model, SP):\n");
   const auto sp = spu_latencies(Precision::Single);
   const auto cached = cb_op_counts_cached(4);
@@ -52,6 +72,40 @@ void ablate_register_caching(const BenchConfig&) {
   t.row("register-cached (paper)", cached.total(), p1_cached,
         kernel_steady_cycles(4, sp));
   t.print();
+
+  // The same argument on the host: stage 1 as the paper's tb^3 WxW calls
+  // per middle pair (C reloaded and stored every call) against the
+  // register-blocked panel, which keeps C in registers across the pair.
+  constexpr index_t n = 1024, bs = 64;
+  std::printf("\n    host stage 1 (simd128 SP, n=%ld, block %ld, 1 thread):\n",
+              static_cast<long>(n), static_cast<long>(bs));
+  BlockedTriangularMatrix<float> mat(n, bs);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = i; j < n; ++j) mat.at(i, j) = float((i * 7 + j) % 100);
+  const CbKernel<float> k = cb_kernel<float>(KernelKind::Native);
+  const index_t w = k.width, tb = bs / w;
+  const double tiles = stage1_rate(mat, [&](float* C, const float* A,
+                                            const float* B) {
+    for (index_t rt = 0; rt < tb; ++rt)
+      for (index_t kt = 0; kt < tb; ++kt)
+        for (index_t ct = 0; ct < tb; ++ct)
+          k.pure(C + rt * w * bs + ct * w, bs, A + rt * w * bs + kt * w, bs,
+                 B + kt * w * bs + ct * w, bs);
+  });
+  const double panel = stage1_rate(
+      mat, [&](float* C, const float* A, const float* B) { k.block(C, A, B, bs); });
+  TextTable h({"stage-1 schedule", "G relax/s", "vs per-tile"});
+  h.row("per-tile (tb^3 WxW calls per pair)", tiles / 1e9, "1.00x");
+  h.row("register-blocked panel (1 call per pair)", panel / 1e9,
+        fmt_x(panel / tiles));
+  h.print();
+  json.record()
+      .set("section", "stage1")
+      .set("n", n)
+      .set("block", bs)
+      .set("per_tile_relax_per_s", tiles)
+      .set("panel_relax_per_s", panel)
+      .set("panel_speedup", panel / tiles);
 }
 
 void ablate_kernel_width(const BenchConfig& cfg) {
@@ -170,35 +224,6 @@ void ablate_scheduler(const BenchConfig&) {
 
 // --- (7) semiring instantiations -----------------------------------------
 
-namespace legacy {
-
-// Verbatim copy of the hand-written (min,+) computing block the engine
-// shipped before the semiring template refactor. Racing it against
-// semiring_cb<MinPlusSemiring> proves the generic kernel kept the codegen
-// (the acceptance bar is < 2% throughput regression).
-template <class T, int W, std::size_t... K>
-inline Vec<T, W> minplus_row(Vec<T, W> c, Vec<T, W> a, const Vec<T, W>* b,
-                             std::index_sequence<K...>) {
-  ((c = vmin(c, Vec<T, W>::template splat<K>(a) + b[K])), ...);
-  return c;
-}
-
-template <class T, int W>
-inline void minplus_cb(T* C, index_t sc, const T* A, index_t sa, const T* B,
-                       index_t sb) {
-  using V = Vec<T, W>;
-  V b[W];
-  for (int k = 0; k < W; ++k) b[k] = V::load(B + k * sb);
-  for (int r = 0; r < W; ++r) {
-    V c = V::load(C + r * sc);
-    const V a = V::load(A + r * sa);
-    c = minplus_row<T, W>(c, a, b, std::make_index_sequence<W>{});
-    c.store(C + r * sc);
-  }
-}
-
-}  // namespace legacy
-
 void ablate_semirings(const BenchConfig& cfg, BenchJson& json) {
   const index_t n = cfg.full ? 2048 : 1024;
   std::printf("\n(7) Semiring instantiations (native kernel, n=%ld, single "
@@ -243,42 +268,6 @@ void ablate_semirings(const BenchConfig& cfg, BenchJson& json) {
         .set("vs_minplus", s / minplus_s);
   }
   t.print();
-
-  // (b) Kernel micro-race: the pre-refactor hand-written min-plus block
-  // against the semiring template instantiated with min-plus, on hot
-  // tiles. Best-of-5 to shave scheduler noise.
-  constexpr int W = 8;
-  constexpr index_t stride = W;
-  constexpr int reps = 4000;
-  aligned_vector<float> c(W * stride, 10.0f), a(W * stride, 3.0f),
-      b(W * stride, 4.0f);
-  auto race = [&](auto&& kernel) {
-    double best = 1e100;
-    for (int round = 0; round < 5; ++round) {
-      Stopwatch sw;
-      for (int i = 0; i < reps; ++i)
-        kernel(c.data(), stride, a.data(), stride, b.data(), stride);
-      best = std::min(best, sw.seconds());
-    }
-    volatile float sink = c[0];
-    (void)sink;
-    return best;
-  };
-  const double legacy_s = race(legacy::minplus_cb<float, W>);
-  const double generic_s = race(minplus_cb<float, W>);
-  const double regression_pct = (generic_s - legacy_s) / legacy_s * 100.0;
-  TextTable k({"kernel (8x8 float tile)", "best of 5", "regression"});
-  k.row("hand-written (pre-refactor)", fmt_seconds(legacy_s), "--");
-  k.row("semiring template (min-plus)", fmt_seconds(generic_s),
-        fmt_pct(regression_pct / 100.0));
-  k.print();
-  json.record()
-      .set("section", "kernel")
-      .set("legacy_seconds", legacy_s)
-      .set("generic_seconds", generic_s)
-      .set("minplus_regression_pct", regression_pct);
-  std::printf("(the semiring ops inline to the same vmin/add sequence; any "
-              "regression beyond noise means a specialisation broke)\n");
 }
 
 }  // namespace
@@ -290,13 +279,13 @@ int main(int argc, char** argv) {
   print_bench_header("Ablations: scheduling blocks, register caching, "
                      "kernel width, prefetch, argmin, scheduler, semirings",
                      cfg);
+  BenchJson json("semiring", cfg);
   ablate_sched_block(cfg);
-  ablate_register_caching(cfg);
+  ablate_register_caching(cfg, json);
   ablate_kernel_width(cfg);
   ablate_prefetch(cfg);
   ablate_argmin(cfg);
   ablate_scheduler(cfg);
-  BenchJson json("semiring", cfg);
   ablate_semirings(cfg, json);
   return 0;
 }

@@ -1,6 +1,6 @@
 // Table I — the computing-block kernel: instruction mix, modeled SPU
 // cycles, and measured native throughput of every kernel backend
-// (google-benchmark).
+// (google-benchmark), plus the stage-1 block product built on it.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -46,12 +46,33 @@ void bm_kernel_scalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * side * side * side);
 }
 
+/// The stage-1 block product (register-blocked panel) over one 64x64
+/// middle block pair, for comparison with the WxW computing block above.
+template <class T, int W>
+void bm_block(benchmark::State& state) {
+  constexpr index_t bs = 64;
+  aligned_vector<T> c(bs * bs), a(bs * bs), b(bs * bs);
+  SplitMix64 rng(3);
+  for (auto* v : {&c, &a, &b})
+    for (auto& x : *v) x = T(rng.next_in(0, 100));
+  for (auto _ : state) {
+    semiring_block<MinPlusSemiring<T>, T, W>(c.data(), a.data(), b.data(), bs);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * bs * bs * bs);
+}
+
 BENCHMARK(bm_kernel<float, 4>)->Name("minplus_cb/sp/128bit");
 BENCHMARK(bm_kernel<float, 8>)->Name("minplus_cb/sp/256bit");
 BENCHMARK(bm_kernel<double, 2>)->Name("minplus_cb/dp/128bit");
 BENCHMARK(bm_kernel<double, 4>)->Name("minplus_cb/dp/256bit");
 BENCHMARK(bm_kernel_scalar<float>)->Name("minplus_scalar/sp")->Arg(4);
 BENCHMARK(bm_kernel_scalar<double>)->Name("minplus_scalar/dp")->Arg(4);
+BENCHMARK(bm_block<float, 4>)->Name("block_product/sp/128bit");
+BENCHMARK(bm_block<float, 8>)->Name("block_product/sp/256bit");
+BENCHMARK(bm_block<double, 2>)->Name("block_product/dp/128bit");
+BENCHMARK(bm_block<double, 4>)->Name("block_product/dp/256bit");
 
 void print_table1() {
   std::printf("\n=== Table I: SIMD instruction mix of one 4x4 computing-"

@@ -11,7 +11,9 @@
 namespace cellnpdp {
 
 struct BlockWork {
-  index_t kernel_calls = 0;   ///< WxW tile kernel invocations
+  /// WxW tile relaxations in tile equivalents (a stage-1 block product
+  /// counts the tb^3 tiles it covers), as EngineStats::kernel_calls.
+  index_t kernel_calls = 0;
   index_t scalar_relax = 0;   ///< scalar relaxations (corners + diag tiles)
   index_t cells = 0;          ///< cells finalised
   index_t dma_blocks_in = 0;  ///< memory blocks fetched into the LS

@@ -10,6 +10,8 @@
 // and by a semiring S (default min-plus): cb_kernel<T, S>(kind) returns
 // the bundle of S-specialised computing-block kernels. The argmin kernel
 // exists only for min-plus (arg is null otherwise; the engine guards it).
+// `block` is the stage-1 block-pair product: the register-blocked panel
+// kernel for Native and Wide, one whole-block scalar tile for Scalar.
 #pragma once
 
 #include <string_view>
@@ -38,11 +40,13 @@ struct CbKernel {
                          const T*, const T*, const T*);
   using ArgFn = void (*)(T*, T*, index_t, const T*, index_t, const T*,
                          index_t, index_t);
+  using BlockFn = void (*)(T*, const T*, const T*, index_t);
 
   index_t width = 4;       ///< computing-block side in cells
   PureFn pure = nullptr;   ///< C = C (+) (A (x) B)
   SepFn sep = nullptr;     ///< with separable u*v*w factor
   ArgFn arg = nullptr;     ///< pure relaxation + argmin-k (min-plus only)
+  BlockFn block = nullptr; ///< C (+)= A (x) B over a whole bs x bs block pair
   KernelKind kind = KernelKind::Scalar;
 };
 
@@ -59,6 +63,11 @@ CELLNPDP_NOVEC void scalar_sep_fixed(T* C, index_t sc, const T* A, index_t sa,
                                      const T* B, index_t sb, const T* u,
                                      const T* v, const T* w) {
   semiring_tile_scalar_sep<S, T>(C, sc, A, sa, B, sb, W, u, v, w);
+}
+
+template <class S, class T>
+CELLNPDP_NOVEC void scalar_block(T* C, const T* A, const T* B, index_t bs) {
+  semiring_tile_scalar<S, T>(C, bs, A, bs, B, bs, bs);
 }
 
 template <class T, int W>
@@ -86,6 +95,7 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.width = 4;
       k.pure = &detail::scalar_pure_fixed<S, T, 4>;
       k.sep = &detail::scalar_sep_fixed<S, T, 4>;
+      k.block = &detail::scalar_block<S, T>;
       if constexpr (minplus) k.arg = &detail::scalar_arg_fixed<T, 4>;
       break;
     case KernelKind::Native: {
@@ -93,6 +103,7 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.width = W;
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
+      k.block = &semiring_block<S, T, W>;
       if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
       break;
     }
@@ -101,6 +112,7 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.width = W;
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
+      k.block = &semiring_block<S, T, W>;
       if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
       break;
     }

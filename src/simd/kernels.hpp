@@ -18,6 +18,12 @@
 // which is what the optimal-matrix-parenthesization instance needs
 // (p_i * p_k * p_j); pure NPDP passes no term.
 //
+// Stage 1 of the engine does not call the WxW block once per tile triple:
+// semiring_block relaxes a whole middle block pair with a register-blocked
+// panel (an MR x NV*W C panel held in registers across the pair's full k
+// range, GEMM-style). The WxW computing block remains the paper's Table I
+// kernel, the stage-2 kernel and the panel's edge-strip fallback.
+//
 // The minplus_* entry points below are thin aliases onto the generic
 // kernels instantiated with MinPlusSemiring — same instructions, same
 // results, kept for the existing call sites and the op-count model.
@@ -113,6 +119,94 @@ inline void semiring_cb_sep(T* C, index_t sc, const T* A, index_t sa,
                                           std::make_index_sequence<W>{});
     c.store(C + r * sc);
   }
+}
+
+namespace detail {
+
+// The panel helpers below are index_sequence folds so that every
+// accumulator index is a compile-time constant: the MR x NV accumulators
+// then live in registers for the whole k loop instead of spilling.
+
+template <class T, int W, int NV, std::size_t... I>
+inline void panel_load(Vec<T, W>* acc, const T* C, index_t sc,
+                       std::index_sequence<I...>) {
+  ((acc[I] = Vec<T, W>::load(C + index_t(I / NV) * sc + index_t(I % NV) * W)),
+   ...);
+}
+
+template <class T, int W, int NV, std::size_t... I>
+inline void panel_store(const Vec<T, W>* acc, T* C, index_t sc,
+                        std::index_sequence<I...>) {
+  (acc[I].store(C + index_t(I / NV) * sc + index_t(I % NV) * W), ...);
+}
+
+template <class S, class T, int W, std::size_t... J>
+inline void panel_row(Vec<T, W>* acc, Vec<T, W> a, const Vec<T, W>* b,
+                      std::index_sequence<J...>) {
+  ((acc[J] = S::template vplus<W>(acc[J], S::template vtimes<W>(a, b[J]))),
+   ...);
+}
+
+/// One k step: A[r][k] broadcast for each of the MR rows, (x) the NV
+/// vectors of B row k, (+) into row r's accumulators.
+template <class S, class T, int W, int NV, std::size_t... R>
+inline void panel_step(Vec<T, W>* acc, const T* a, index_t sa,
+                       const Vec<T, W>* b, std::index_sequence<R...>) {
+  (panel_row<S, T, W>(acc + R * NV, Vec<T, W>::set1(a[index_t(R) * sa]), b,
+                      std::make_index_sequence<NV>{}),
+   ...);
+}
+
+template <class T, int W, std::size_t... J>
+inline void panel_bload(Vec<T, W>* b, const T* B, std::index_sequence<J...>) {
+  ((b[J] = Vec<T, W>::load(B + index_t(J) * W)), ...);
+}
+
+}  // namespace detail
+
+/// Register-blocked panel: the MR x (NV*W) tile of C at C is held in
+/// MR*NV registers while k runs over [0, depth):
+///     C[r][c] = C[r][c] (+) (+)_k A[r][k] (x) B[k][c]
+/// Each cell folds its candidates in ascending k with the same vplus/vtimes
+/// expressions as semiring_cb, so the two agree bit for bit.
+template <class S, class T, int W, int MR, int NV>
+inline void semiring_panel(T* C, index_t sc, const T* A, index_t sa,
+                           const T* B, index_t sb, index_t depth) {
+  using V = Vec<T, W>;
+  V acc[MR * NV];
+  detail::panel_load<T, W, NV>(acc, C, sc, std::make_index_sequence<MR * NV>{});
+  for (index_t k = 0; k < depth; ++k) {
+    V b[NV];
+    detail::panel_bload<T, W>(b, B + k * sb, std::make_index_sequence<NV>{});
+    detail::panel_step<S, T, W, NV>(acc, A + k, sa, b,
+                                    std::make_index_sequence<MR>{});
+  }
+  detail::panel_store<T, W, NV>(acc, C, sc, std::make_index_sequence<MR * NV>{});
+}
+
+/// Stage-1 block product over one whole middle pair: C (+)= A (x) B, where
+/// C, A and B are bs x bs blocks with row stride bs and bs is a multiple
+/// of W. 4 x 2W panels (8 accumulators, 12 of the 16 vector registers in
+/// use) cover the largest 4 x 2W-aligned top-left part of C; the right
+/// and bottom edge strips that the panel does not divide are finished
+/// with the WxW computing block. Every cell still folds k in ascending
+/// order, and nothing outside the three blocks is read or written.
+template <class S, class T, int W>
+inline void semiring_block(T* C, const T* A, const T* B, index_t bs) {
+  constexpr int MR = 4, NV = 2;
+  static_assert(MR % W == 0 || W % MR == 0,
+                "edge strips must start on a computing-block boundary");
+  constexpr index_t NR = NV * W;
+  const index_t rows = bs - bs % MR, cols = bs - bs % NR;
+  for (index_t r = 0; r < rows; r += MR)
+    for (index_t c = 0; c < cols; c += NR)
+      semiring_panel<S, T, W, MR, NV>(C + r * bs + c, bs, A + r * bs, bs,
+                                      B + c, bs, bs);
+  for (index_t r = 0; r < bs; r += W)
+    for (index_t c = r < rows ? cols : 0; c < bs; c += W)
+      for (index_t k = 0; k < bs; k += W)
+        semiring_cb<S, T, W>(C + r * bs + c, bs, A + r * bs + k, bs,
+                             B + k * bs + c, bs);
 }
 
 /// The paper's (min,+) kernel: semiring_cb instantiated with min-plus.

@@ -14,6 +14,13 @@
 //
 // All loads/stores assume kBufferAlignment-aligned rows, which the layout
 // module guarantees.
+//
+// vmin(a, b) is `b < a ? b : a` and vmax(a, b) is `b > a ? b : a` in every
+// backend, the scalar MinPlus/MaxPlus `plus` exactly. The x86 min/max
+// instructions return their second operand unless the first strictly wins,
+// so the SSE/AVX forms pass (b, a). With the running value as a and the
+// candidate as b, a NaN candidate is ignored and a NaN running value
+// sticks, as in the scalar and reference solvers; ties keep a.
 #pragma once
 
 #include <cstddef>
@@ -103,8 +110,8 @@ struct Vec<float, 4> {
   }
   friend Vec operator+(Vec a, Vec b) { return {_mm_add_ps(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm_mul_ps(a.v, b.v)}; }
-  friend Vec vmin(Vec a, Vec b) { return {_mm_min_ps(a.v, b.v)}; }
-  friend Vec vmax(Vec a, Vec b) { return {_mm_max_ps(a.v, b.v)}; }
+  friend Vec vmin(Vec a, Vec b) { return {_mm_min_ps(b.v, a.v)}; }
+  friend Vec vmax(Vec a, Vec b) { return {_mm_max_ps(b.v, a.v)}; }
   friend Vec vlt(Vec a, Vec b) { return {_mm_cmplt_ps(a.v, b.v)}; }
   friend Vec vblend(Vec mask, Vec a, Vec b) {
     return {_mm_blendv_ps(b.v, a.v, mask.v)};
@@ -129,8 +136,8 @@ struct Vec<float, 8> {
   }
   friend Vec operator+(Vec a, Vec b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm256_mul_ps(a.v, b.v)}; }
-  friend Vec vmin(Vec a, Vec b) { return {_mm256_min_ps(a.v, b.v)}; }
-  friend Vec vmax(Vec a, Vec b) { return {_mm256_max_ps(a.v, b.v)}; }
+  friend Vec vmin(Vec a, Vec b) { return {_mm256_min_ps(b.v, a.v)}; }
+  friend Vec vmax(Vec a, Vec b) { return {_mm256_max_ps(b.v, a.v)}; }
   friend Vec vlt(Vec a, Vec b) {
     return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)};
   }
@@ -153,8 +160,8 @@ struct Vec<double, 2> {
   }
   friend Vec operator+(Vec a, Vec b) { return {_mm_add_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend Vec vmin(Vec a, Vec b) { return {_mm_min_pd(a.v, b.v)}; }
-  friend Vec vmax(Vec a, Vec b) { return {_mm_max_pd(a.v, b.v)}; }
+  friend Vec vmin(Vec a, Vec b) { return {_mm_min_pd(b.v, a.v)}; }
+  friend Vec vmax(Vec a, Vec b) { return {_mm_max_pd(b.v, a.v)}; }
   friend Vec vlt(Vec a, Vec b) { return {_mm_cmplt_pd(a.v, b.v)}; }
   friend Vec vblend(Vec mask, Vec a, Vec b) {
     return {_mm_blendv_pd(b.v, a.v, mask.v)};
@@ -178,8 +185,8 @@ struct Vec<double, 4> {
   }
   friend Vec operator+(Vec a, Vec b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Vec operator*(Vec a, Vec b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend Vec vmin(Vec a, Vec b) { return {_mm256_min_pd(a.v, b.v)}; }
-  friend Vec vmax(Vec a, Vec b) { return {_mm256_max_pd(a.v, b.v)}; }
+  friend Vec vmin(Vec a, Vec b) { return {_mm256_min_pd(b.v, a.v)}; }
+  friend Vec vmax(Vec a, Vec b) { return {_mm256_max_pd(b.v, a.v)}; }
   friend Vec vlt(Vec a, Vec b) {
     return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)};
   }

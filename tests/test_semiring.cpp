@@ -12,9 +12,14 @@
 //     addition in floating point is associative while it stays exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "cellsim/work_model.hpp"
 #include "common/rng.hpp"
 #include "core/maxplus.hpp"
 #include "core/reference.hpp"
@@ -288,6 +293,137 @@ TEST(SemiringEngine, InstantiationMismatchThrows) {
                std::invalid_argument);
   mat.reset(semiring_zero<float>(SemiringId::Counting));
   EXPECT_EQ(solve_blocked_serial_into(mat, inst, ctx), SolveStatus::Ok);
+}
+
+// --- stage-1 block product through the drivers ---------------------------
+
+/// Every triangle cell bit for bit, so NaN cells compare too.
+template <class T>
+void expect_same_bits(const TriangularMatrix<T>& ref,
+                      const BlockedTriangularMatrix<T>& got,
+                      const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size());
+  index_t bad = 0;
+  for (index_t i = 0; i < ref.size() && bad < 5; ++i)
+    for (index_t j = i; j < ref.size() && bad < 5; ++j) {
+      const T r = ref.at(i, j), g = got.at(i, j);
+      if (std::memcmp(&r, &g, sizeof(T)) != 0) {
+        ADD_FAILURE() << what << ": cell (" << i << "," << j << ") ref=" << r
+                      << " got=" << g;
+        ++bad;
+      }
+    }
+}
+
+constexpr KernelKind kKinds[] = {KernelKind::Scalar, KernelKind::Native,
+                                 KernelKind::Wide};
+
+/// Serial and parallel solves of one instance against the reference, plus
+/// the serial run's work counts against cellsim::total_work (kernel_calls
+/// counts tile equivalents, so it is the same whichever stage-1 kernel ran).
+template <class T>
+void expect_drivers_match(const NpdpInstance<T>& inst,
+                          const TriangularMatrix<T>& ref, KernelKind kind,
+                          index_t bs, const std::string& what) {
+  ExecutionContext ctx;
+  ctx.tuning.block_side = bs;
+  ctx.tuning.kernel = kind;
+  SolveStats ss;
+  ctx.stats = &ss;
+  const T pad = semiring_zero<T>(inst.semiring);
+  BlockedTriangularMatrix<T> ser(inst.n, bs, pad), par(inst.n, bs, pad);
+  ASSERT_EQ(solve_blocked_serial_into(ser, inst, ctx), SolveStatus::Ok);
+  expect_same_bits(ref, ser, what + " serial");
+  const BlockWork work =
+      total_work(inst.n, bs, cb_kernel<T>(kind).width);
+  EXPECT_EQ(ss.engine.kernel_calls, work.kernel_calls) << what;
+  EXPECT_EQ(ss.engine.scalar_relax(), work.scalar_relax) << what;
+  EXPECT_EQ(ss.engine.cells_finalized, work.cells) << what;
+  ctx.stats = nullptr;
+  ctx.tuning.threads = 3;
+  ctx.tuning.sched_side = 2;
+  ASSERT_EQ(solve_blocked_parallel_into(par, inst, ctx), SolveStatus::Ok);
+  expect_same_bits(ref, par, what + " parallel");
+}
+
+/// Block sides W and 3W (edge strips for every panel shape), 64 and 128,
+/// each with n not a multiple of the side and at least one middle block
+/// pair. Counting stays exact only at small n, where cells are integers
+/// below the mantissa: it runs in double at W and 3W, and the kernel tests
+/// cover its float and larger-side block products.
+template <class T>
+void panel_sweep(SemiringId sr) {
+  const bool counting = sr == SemiringId::Counting;
+  if (counting && sizeof(T) == 4) return;
+  for (Mode mode : {Mode::Pure, Mode::Weighted}) {
+    for (KernelKind kind : kKinds) {
+      const index_t w = cb_kernel<T>(kind).width;
+      for (index_t bs : {w, 3 * w, index_t(64), index_t(128)}) {
+        if (counting && bs > 3 * w) continue;
+        const index_t n = counting ? 11 : std::max<index_t>(71, 2 * bs + 5);
+        std::vector<T> factors;
+        const auto inst = make_instance<T>(sr, mode, n, 17, &factors);
+        const auto ref = solve_reference_any(inst);
+        expect_drivers_match(
+            inst, ref, kind, bs,
+            std::string(semiring_name(sr)) + " " +
+                std::string(kernel_kind_name(kind)) + " bs=" +
+                std::to_string(bs) + " T=" + (sizeof(T) == 4 ? "f" : "d") +
+                (mode == Mode::Pure ? " pure" : " weighted"));
+      }
+    }
+  }
+}
+
+TEST(SemiringBlockProduct, EveryKindAndBlockSideMatchesReference) {
+  for (SemiringId sr : kAll) {
+    panel_sweep<float>(sr);
+    panel_sweep<double>(sr);
+  }
+}
+
+/// NaN and +-inf init cells: the semirings' (+) ignores a NaN candidate
+/// and keeps a NaN running value (vmin/vmax are `b < a ? b : a` in every
+/// backend), and every cell folds k in ascending order within a kernel
+/// call, so scalar, simd128, simd256 and the reference agree bit for bit.
+/// A NaN cell stays confined to itself.
+template <class T>
+void special_values_case(SemiringId sr) {
+  const bool counting = sr == SemiringId::Counting;
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  const index_t n = counting ? 11 : 77;
+  NpdpInstance<T> inst;
+  inst.n = n;
+  inst.semiring = sr;
+  inst.init = [=](index_t i, index_t j) {
+    if (i == 2 && j == 7) return nan;
+    if (i == 1 && j == 9) return inf;
+    if (!counting && i == 5 && j == 40) return nan;
+    if (!counting && i == 10 && j == 60) return -inf;
+    if (!counting && i == 30 && j == 31) return inf;
+    return semiring_init_value<T>(sr, 5, i, j);
+  };
+  const auto ref = solve_reference_any(inst);
+  if (!counting) {
+    index_t nan_cells = 0;
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = i; j < n; ++j) nan_cells += std::isnan(ref.at(i, j));
+    EXPECT_EQ(nan_cells, 2) << semiring_name(sr);
+  }
+  for (KernelKind kind : kKinds)
+    for (index_t bs : {index_t(8), index_t(24)})
+      expect_drivers_match(inst, ref, kind, bs,
+                           std::string(semiring_name(sr)) + " specials " +
+                               std::string(kernel_kind_name(kind)) +
+                               " bs=" + std::to_string(bs));
+}
+
+TEST(SemiringSpecialValues, NanAndInfinityAgreeAcrossKernelsBitForBit) {
+  for (SemiringId sr : kAll) {
+    special_values_case<float>(sr);
+    special_values_case<double>(sr);
+  }
 }
 
 TEST(SemiringMaxPlus, NativeMatchesNegationAdapterBitForBit) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -294,6 +297,93 @@ TEST(Kernels, SeparableTermEverySemiring) {
     semiring_sep_kernel_case<CountingSemiring<double>, 4>(s);
     semiring_sep_kernel_case<ViterbiLogSemiring<float>, 4>(s);
   }
+}
+
+// --- stage-1 block product ---------------------------------------------
+
+/// The WxW tile walk of one middle block pair: tb^3 computing-block calls
+/// in (rt, kt, ct) order, the engine's tile path.
+template <class T>
+void tile_block_product(const CbKernel<T>& k, T* C, const T* A, const T* B,
+                        index_t bs) {
+  const index_t w = k.width, tb = bs / w;
+  for (index_t rt = 0; rt < tb; ++rt)
+    for (index_t kt = 0; kt < tb; ++kt)
+      for (index_t ct = 0; ct < tb; ++ct)
+        k.pure(C + rt * w * bs + ct * w, bs, A + rt * w * bs + kt * w, bs,
+               B + kt * w * bs + ct * w, bs);
+}
+
+template <class T>
+bool same_bits(const T* x, const T* y, index_t count) {
+  return std::memcmp(x, y, static_cast<std::size_t>(count) * sizeof(T)) == 0;
+}
+
+/// k.block against the tile walk and the whole-block scalar tile, bit for
+/// bit, at block sides the panel divides and ones it leaves edge strips
+/// in. C sits between guard cells that must survive untouched; A and B are
+/// exactly bs*bs cells, so an over-read shows under ASan.
+template <class S>
+void block_product_case(KernelKind kind, std::uint64_t seed) {
+  using T = typename S::value_type;
+  const CbKernel<T> k = cb_kernel<T, S>(kind);
+  constexpr index_t guard = kBufferAlignment;  // whole aligned lines
+  const T sentinel = T(12345);
+  for (index_t bs : {k.width, 3 * k.width, index_t(64), index_t(128)}) {
+    const index_t cells = bs * bs;
+    auto a = random_semiring_tile<S>(bs, bs, seed + 1, 0.2);
+    auto b = random_semiring_tile<S>(bs, bs, seed + 2, 0.2);
+    auto c = random_semiring_tile<S>(bs, bs, seed + 3, 0.1);
+    if constexpr (S::idempotent) {
+      // NaN and both infinities in every operand.
+      const T nan = std::numeric_limits<T>::quiet_NaN();
+      const T inf = std::numeric_limits<T>::infinity();
+      const T special[] = {nan, inf, -inf};
+      for (int s = 0; s < 3; ++s) {
+        a[static_cast<std::size_t>((7 * s + 1) % cells)] = special[s];
+        b[static_cast<std::size_t>((5 * s + 2) % cells)] = special[s];
+        c[static_cast<std::size_t>((3 * s + 3) % cells)] = special[s];
+      }
+    }
+    aligned_vector<T> panel(static_cast<std::size_t>(cells + 2 * guard),
+                            sentinel);
+    std::copy(c.begin(), c.end(), panel.begin() + guard);
+    auto tiles = c, scalar = c;
+
+    k.block(panel.data() + guard, a.data(), b.data(), bs);
+    tile_block_product(k, tiles.data(), a.data(), b.data(), bs);
+    semiring_tile_scalar<S, T>(scalar.data(), bs, a.data(), bs, b.data(), bs,
+                               bs);
+    const std::string what = std::string(semiring_name(S::id)) + " " +
+                             std::string(kernel_kind_name(kind)) +
+                             " bs=" + std::to_string(bs);
+    EXPECT_TRUE(same_bits(panel.data() + guard, tiles.data(), cells))
+        << what << ": block product differs from the tile walk";
+    EXPECT_TRUE(same_bits(panel.data() + guard, scalar.data(), cells))
+        << what << ": block product differs from the scalar tile";
+    for (index_t g = 0; g < guard; ++g) {
+      EXPECT_EQ(panel[static_cast<std::size_t>(g)], sentinel) << what;
+      EXPECT_EQ(panel[static_cast<std::size_t>(guard + cells + g)], sentinel)
+          << what;
+    }
+  }
+}
+
+template <class T>
+void block_product_every_semiring(KernelKind kind, std::uint64_t seed) {
+  block_product_case<MinPlusSemiring<T>>(kind, seed);
+  block_product_case<MaxPlusSemiring<T>>(kind, seed);
+  block_product_case<CountingSemiring<T>>(kind, seed);
+  block_product_case<ViterbiLogSemiring<T>>(kind, seed);
+}
+
+TEST(Kernels, BlockProductMatchesTileWalkAndScalar) {
+  for (KernelKind kind :
+       {KernelKind::Scalar, KernelKind::Native, KernelKind::Wide})
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      block_product_every_semiring<float>(kind, 10 * s);
+      block_product_every_semiring<double>(kind, 10 * s);
+    }
 }
 
 TEST(Kernels, OpCountsMatchPaperTableI) {
