@@ -4,7 +4,8 @@
 //       on the SPU model; per-tile vs register-blocked stage 1 on the host);
 //   (3) 128-bit vs 256-bit kernels on the host CPU;
 //   (4) simplified (left+below) dependence graph vs full-graph release
-//       timing — measured as simulated makespan with forced serial chains.
+//       timing — measured as simulated makespan with forced serial chains;
+//   (5) traceback by recomputation: a plain solve plus a visit_splits walk.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -166,32 +167,40 @@ void ablate_prefetch(const BenchConfig&) {
               "is itself the design point)\n");
 }
 
-void ablate_argmin(const BenchConfig& cfg) {
+void ablate_traceback(const BenchConfig& cfg) {
   const index_t n = cfg.full ? 2048 : 1024;
-  std::printf("\n(5) Argmin tracking overhead (native, n=%ld, SP, single "
-              "thread):\n", static_cast<long>(n));
+  std::printf("\n(5) Traceback by recomputation (native, n=%ld, SP, single "
+              "thread, best of 3):\n", static_cast<long>(n));
+  // Unit spans cost 1 and every split of a cell ties, so the earliest-k
+  // tree is right-deep with n-2 splits: the walk's worst case, about n^2/2
+  // candidate evaluations.
   NpdpInstance<float> inst;
   inst.n = n;
   inst.init = [](index_t i, index_t j) {
-    return i == j ? 0.0f : float((i * 5 + j) % 100);
+    return i == j ? 0.0f : j == i + 1 ? 1.0f : minplus_identity<float>();
   };
   NpdpOptions o;
   o.block_side = 64;
-  Stopwatch s1;
-  const auto plain = solve_blocked_serial(inst, o);
-  const double t_plain = s1.seconds();
-  volatile float sink = plain.at(0, n - 1);
-  Stopwatch s2;
-  const auto traced = solve_blocked_with_argmin(inst, o);
-  const double t_arg = s2.seconds();
-  sink = traced.values.at(0, n - 1);
-  (void)sink;
+  double t_solve = 1e100, t_walk = 1e100;
+  index_t splits = 0;
+  for (int round = 0; round < 3; ++round) {
+    Stopwatch s1;
+    const auto table = solve_blocked_serial(inst, o);
+    t_solve = std::min(t_solve, s1.seconds());
+    splits = 0;
+    Stopwatch s2;
+    visit_splits(table, inst, 0, n - 1,
+                 [&](index_t, index_t, index_t) { ++splits; });
+    t_walk = std::min(t_walk, s2.seconds());
+  }
+  const double t_all = t_solve + t_walk;
   TextTable t({"variant", "time", "relative"});
-  t.row("values only", fmt_seconds(t_plain), "1.00x");
-  t.row("values + argmin", fmt_seconds(t_arg), fmt_x(t_arg / t_plain));
+  t.row("values only", fmt_seconds(t_solve), "1.00x");
+  t.row("values + traceback", fmt_seconds(t_all), fmt_x(t_all / t_solve));
   t.print();
-  std::printf("(the argmin kernel doubles the blend traffic per step; use "
-              "it only when the decision tree is needed)\n");
+  std::printf("(the walk recovers %ld splits from the finished table, "
+              "O(j-i) each: %.4f%% of values + traceback)\n",
+              static_cast<long>(splits), 100.0 * t_walk / t_all);
 }
 
 
@@ -277,14 +286,14 @@ int main(int argc, char** argv) {
   using namespace cellnpdp;
   const auto cfg = BenchConfig::from_args(argc, argv);
   print_bench_header("Ablations: scheduling blocks, register caching, "
-                     "kernel width, prefetch, argmin, scheduler, semirings",
+                     "kernel width, prefetch, traceback, scheduler, semirings",
                      cfg);
   BenchJson json("semiring", cfg);
   ablate_sched_block(cfg);
   ablate_register_caching(cfg, json);
   ablate_kernel_width(cfg);
   ablate_prefetch(cfg);
-  ablate_argmin(cfg);
+  ablate_traceback(cfg);
   ablate_scheduler(cfg);
   ablate_semirings(cfg, json);
   return 0;

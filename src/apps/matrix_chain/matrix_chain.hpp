@@ -10,18 +10,18 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/reference.hpp"
 #include "core/solve.hpp"
-#include "layout/convert.hpp"
+#include "core/traceback.hpp"
 
 namespace cellnpdp {
 
 template <class T>
 struct MatrixChainResult {
   T cost = 0;                      ///< minimal scalar multiplications
-  std::vector<index_t> split;      ///< split[i*(n+1)+j]: argmin k for (i,j)
   std::string parenthesization;    ///< e.g. "((A0 A1) A2)"
 };
 
@@ -42,47 +42,36 @@ NpdpInstance<T> matrix_chain_instance(const std::vector<T>& p) {
 
 namespace matrix_chain_detail {
 
-template <class T>
-void render(const std::vector<index_t>& split, index_t n, index_t i,
-            index_t j, std::string& out) {
-  if (j == i + 1) {
-    out += "A" + std::to_string(i);
-    return;
+/// Renders a parenthesization from the splits of its tree, fed in any
+/// order: split (i, k, j) opens a parenthesis before A_i and closes one
+/// after A_{j-1}.
+class Renderer {
+ public:
+  explicit Renderer(index_t matrices)
+      : open_(static_cast<std::size_t>(matrices)),
+        close_(static_cast<std::size_t>(matrices)) {}
+
+  void operator()(index_t i, index_t, index_t j) {
+    ++open_[static_cast<std::size_t>(i)];
+    ++close_[static_cast<std::size_t>(j - 1)];
   }
-  out += "(";
-  const index_t k = split[static_cast<std::size_t>(i * (n + 1) + j)];
-  render<T>(split, n, i, k, out);
-  out += " ";
-  render<T>(split, n, k, j, out);
-  out += ")";
-}
+
+  std::string str() const {
+    std::string out;
+    for (std::size_t t = 0; t < open_.size(); ++t) {
+      if (t > 0) out += ' ';
+      out.append(static_cast<std::size_t>(open_[t]), '(');
+      out += "A" + std::to_string(t);
+      out.append(static_cast<std::size_t>(close_[t]), ')');
+    }
+    return out;
+  }
+
+ private:
+  std::vector<index_t> open_, close_;
+};
 
 }  // namespace matrix_chain_detail
-
-/// Recovers split points from a solved boundary table by re-finding each
-/// argmin (O(n^3) total, only used for reporting).
-template <class T, class Table>
-std::vector<index_t> matrix_chain_splits(const Table& c,
-                                         const std::vector<T>& p) {
-  const index_t nodes = static_cast<index_t>(p.size());
-  std::vector<index_t> split(static_cast<std::size_t>(nodes * nodes), -1);
-  for (index_t i = 0; i < nodes; ++i)
-    for (index_t j = i + 2; j < nodes; ++j) {
-      T best = minplus_identity<T>();
-      index_t arg = i + 1;
-      for (index_t k = i + 1; k < j; ++k) {
-        const T cand = c.at(i, k) + c.at(k, j) + p[static_cast<std::size_t>(i)] *
-                           p[static_cast<std::size_t>(k)] *
-                           p[static_cast<std::size_t>(j)];
-        if (cand < best) {
-          best = cand;
-          arg = k;
-        }
-      }
-      split[static_cast<std::size_t>(i * nodes + j)] = arg;
-    }
-  return split;
-}
 
 /// Solves the chain with the blocked engine under an ExecutionContext
 /// (cancellation + deadline, tuning, stats). On Cancelled `out` is left
@@ -96,10 +85,9 @@ SolveStatus solve_matrix_chain(const std::vector<T>& p,
   const SolveStatus st = solve_blocked_into(table, inst, ctx);
   if (st != SolveStatus::Ok) return st;
   out->cost = table.at(0, inst.n - 1);
-  out->split = matrix_chain_splits<T>(table, p);
-  out->parenthesization.clear();
-  matrix_chain_detail::render<T>(out->split, inst.n - 1, 0, inst.n - 1,
-                                 out->parenthesization);
+  matrix_chain_detail::Renderer render(inst.n - 1);
+  visit_splits(table, inst, 0, inst.n - 1, render);
+  out->parenthesization = render.str();
   return SolveStatus::Ok;
 }
 
@@ -114,7 +102,8 @@ MatrixChainResult<T> solve_matrix_chain(const std::vector<T>& p,
   return res;
 }
 
-/// Classic textbook O(n^3) reference with an explicit split table.
+/// Classic textbook O(n^3) reference with its own split table, so it
+/// checks the engine's split recovery independently.
 template <class T>
 MatrixChainResult<T> solve_matrix_chain_reference(const std::vector<T>& p) {
   const index_t nodes = static_cast<index_t>(p.size());
@@ -140,11 +129,20 @@ MatrixChainResult<T> solve_matrix_chain_reference(const std::vector<T>& p) {
       c.at(i, j) = best;
       split[static_cast<std::size_t>(i * nodes + j)] = arg;
     }
+  matrix_chain_detail::Renderer render(nodes - 1);
+  std::vector<std::pair<index_t, index_t>> todo{{0, nodes - 1}};
+  while (!todo.empty()) {
+    const auto [i, j] = todo.back();
+    todo.pop_back();
+    if (j - i < 2) continue;
+    const index_t k = split[static_cast<std::size_t>(i * nodes + j)];
+    render(i, k, j);
+    todo.push_back({i, k});
+    todo.push_back({k, j});
+  }
   MatrixChainResult<T> res;
   res.cost = c.at(0, nodes - 1);
-  res.split = std::move(split);
-  matrix_chain_detail::render<T>(res.split, nodes - 1, 0, nodes - 1,
-                                 res.parenthesization);
+  res.parenthesization = render.str();
   return res;
 }
 

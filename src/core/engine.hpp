@@ -143,10 +143,6 @@ class BlockEngine {
   /// Seeds the matrix storage according to the mode (see NpdpInstance).
   void seed() {
     const index_t n = inst_->n;
-    if (argm_ != nullptr) {
-      T* a = argm_->data();
-      for (index_t c = 0; c < argm_->total_cells(); ++c) a[c] = T(-1);
-    }
     if (general_) {
       for (index_t i = 0; i < n; ++i) mat_->at(i, i) = inst_->init(i, i);
       return;  // off-diagonal cells keep the +inf written at construction
@@ -162,11 +158,11 @@ class BlockEngine {
     }
   }
 
-  /// Restores memory block (bi,bj) — and its argmin block, when attached —
-  /// to the exact state seed() left it in: the semiring zero on padding
-  /// and below-diagonal cells, the seed formula on in-triangle cells. The
-  /// recovery paths call this before re-relaxing a block whose first
-  /// execution threw mid-write or whose contents failed a checksum:
+  /// Restores memory block (bi,bj) to the exact state seed() left it in:
+  /// the semiring zero on padding and below-diagonal cells, the seed
+  /// formula on in-triangle cells. The recovery paths call this before
+  /// re-relaxing a block whose first execution threw mid-write or whose
+  /// contents failed a checksum:
   /// general-mode finalize_cell is an overwrite (not a min-fold), so
   /// re-execution is only correct from a freshly seeded block, and
   /// corrupted values below the true minimum could never be repaired by
@@ -177,10 +173,6 @@ class BlockEngine {
     const index_t cells = bs_ * bs_;
     const T id = S::zero();
     for (index_t c = 0; c < cells; ++c) Cb[c] = id;
-    if (argm_ != nullptr) {
-      T* Kb = argm_->data() + (Cb - mat_->data());
-      for (index_t c = 0; c < cells; ++c) Kb[c] = T(-1);
-    }
     const index_t n = inst_->n;
     const index_t row0 = bi * bs_;
     const index_t col0 = bj * bs_;
@@ -213,19 +205,6 @@ class BlockEngine {
   /// runs pass each worker its own EngineStats (see EngineStatsSink)
   /// through the compute_block overload instead.
   void set_stats(EngineStats* stats) { stats_ = stats; }
-
-  /// Attaches an argmin table (same geometry as the value matrix). Each
-  /// cell ends up holding, as a T, the k index whose relaxation produced
-  /// the final value, or -1 if the seed/init value survived. Must be
-  /// attached before seed(). Min-plus only: argmin traceback over other
-  /// semirings has no SIMD kernel (and no meaning for counting).
-  void set_argmin(BlockedTriangularMatrix<T>* argm) {
-    if constexpr (S::id != SemiringId::MinPlus)
-      throw std::invalid_argument("argmin tracking requires min-plus");
-    if (argm->block_side() != bs_ || argm->size() != inst_->n)
-      throw std::invalid_argument("argmin matrix geometry mismatch");
-    argm_ = argm;
-  }
 
   /// Relaxes memory block (bi,bj). Every block it depends on — all (bi,k)
   /// and (k,bj) with bi <= k <= bj other than itself — must be final.
@@ -271,18 +250,6 @@ class BlockEngine {
       generic_tile(C, A, B, gi0, gk0, gj0);
       return;
     }
-    if (argm_ != nullptr) {
-      // C and KC share the block offset: recover KC from the matrices.
-      T* KC = argm_->data() + (C - mat_->data());
-      if (!ku_.empty()) {
-        minplus_tile_scalar_arg(C, KC, bs_, A, bs_, B, bs_, kern_.width, gk0,
-                                ku_.data() + gi0, kv_.data() + gk0,
-                                kw_.data() + gj0);
-      } else {
-        kern_.arg(C, KC, bs_, A, bs_, B, bs_, gk0);
-      }
-      return;
-    }
     if (!ku_.empty()) {
       kern_.sep(C, bs_, A, bs_, B, bs_, ku_.data() + gi0, kv_.data() + gk0,
                 kw_.data() + gj0);
@@ -291,14 +258,13 @@ class BlockEngine {
     }
   }
 
-  /// Scalar tile relaxation with the general per-(i,k,j) term; handles
-  /// argmin tracking. Functor calls are skipped for padded indices (the
-  /// operand there is the semiring zero, which annihilates the candidate).
+  /// Scalar tile relaxation with the general per-(i,k,j) term. Functor
+  /// calls are skipped for padded indices (the operand there is the
+  /// semiring zero, which annihilates the candidate).
   void generic_tile(T* C, const T* A, const T* B, index_t gi0, index_t gk0,
                     index_t gj0) const {
     const index_t W = kern_.width;
     const index_t n = inst_->n;
-    T* KC = argm_ != nullptr ? argm_->data() + (C - mat_->data()) : nullptr;
     for (index_t r = 0; r < W; ++r) {
       const index_t gi = gi0 + r;
       for (index_t k = 0; k < W; ++k) {
@@ -311,10 +277,7 @@ class BlockEngine {
                                   inst_->kterm(gi, gk, gj));
           T& dst = C[r * bs_ + c];
           if constexpr (S::idempotent) {
-            if (S::improves(cand, dst)) {
-              dst = cand;
-              if (KC != nullptr) KC[r * bs_ + c] = T(gk);
-            }
+            if (S::improves(cand, dst)) dst = cand;
           } else {
             dst = S::plus(dst, cand);
           }
@@ -325,10 +288,10 @@ class BlockEngine {
 
   /// Stage 1: C = C (+) (A (x) B) for one middle block pair, with no
   /// ordering constraints. The pure path is one register-blocked block
-  /// product; argmin and k-term blocks walk the WxW tile triple loop.
+  /// product; k-term blocks walk the WxW tile triple loop.
   void middle_pass(T* Cb, const T* Ab, const T* Bb, index_t row0, index_t k0,
                    index_t col0, EngineStats* st) const {
-    if (argm_ == nullptr && ku_.empty() && !ktg_) {
+    if (ku_.empty() && !ktg_) {
       kern_.block(Cb, Ab, Bb, bs_);
       if (st != nullptr) st->kernel_calls += tb_ * tb_ * tb_;
       return;
@@ -406,7 +369,6 @@ class BlockEngine {
         const index_t r = rt * W + lr;
         const index_t gi = row0 + r;
         T acc = Cb[r * bs_ + c];
-        T karg = T(-2);  // sentinel: unchanged
         for (index_t lk = lr + 1; lk < W; ++lk) {
           const index_t gk = row0 + rt * W + lk;
           T cand = S::times(A1[lr * bs_ + lk], Cb[(rt * W + lk) * bs_ + c]);
@@ -415,7 +377,7 @@ class BlockEngine {
             if (gi >= n || gk >= n || gj >= n) continue;
             cand = S::times(cand, inst_->kterm(gi, gk, gj));
           }
-          relax(acc, karg, cand, gk);
+          relax(acc, cand);
         }
         for (index_t lk = 0; lk < lc; ++lk) {
           const index_t gk = col0 + ct * W + lk;
@@ -425,10 +387,10 @@ class BlockEngine {
             if (gi >= n || gk >= n || gj >= n) continue;
             cand = S::times(cand, inst_->kterm(gi, gk, gj));
           }
-          relax(acc, karg, cand, gk);
+          relax(acc, cand);
         }
         if (st != nullptr) st->corner_relax += (W - 1 - lr) + lc;
-        finalize_cell(Cb, r, c, gi, gj, n, acc, st, karg);
+        finalize_cell(Cb, r, c, gi, gj, n, acc, st);
       }
     }
   }
@@ -447,7 +409,6 @@ class BlockEngine {
         const index_t r = t * W + lr;
         const index_t gi = row0 + r;
         T acc = Cb[r * bs_ + c];
-        T karg = T(-2);
         for (index_t lk = lr + 1; lk < lc; ++lk) {
           const index_t gk = row0 + t * W + lk;
           T cand =
@@ -457,41 +418,28 @@ class BlockEngine {
             if (gi >= n || gk >= n || gj >= n) continue;
             cand = S::times(cand, inst_->kterm(gi, gk, gj));
           }
-          relax(acc, karg, cand, gk);
+          relax(acc, cand);
         }
         if (st != nullptr) st->diag_relax += lc - 1 - lr;
-        finalize_cell(Cb, r, c, gi, gj, n, acc, st, karg);
+        finalize_cell(Cb, r, c, gi, gj, n, acc, st);
       }
     }
   }
 
   /// Folds one candidate into the running cell value. Idempotent
-  /// semirings relax with a strict-improvement compare (argmin tracking
-  /// keeps the earliest winning k on ties, exactly as before); counting
+  /// semirings relax with a strict-improvement compare; counting
   /// accumulates every candidate.
-  void relax(T& acc, T& karg, T cand, index_t gk) const {
+  void relax(T& acc, T cand) const {
     if constexpr (S::idempotent) {
-      if (S::improves(cand, acc)) {
-        acc = cand;
-        karg = T(gk);
-      }
+      if (S::improves(cand, acc)) acc = cand;
     } else {
-      (void)karg;
       acc = S::plus(acc, cand);
     }
   }
 
-  /// karg: the corner pass's improvement (global k), or -2 when the corner
-  /// pass did not improve on the stage-kernel value.
   void finalize_cell(T* Cb, index_t r, index_t c, index_t gi, index_t gj,
-                     index_t n, T acc, EngineStats* st,
-                     T karg = T(-2)) const {
+                     index_t n, T acc, EngineStats* st) const {
     if (st != nullptr) ++st->cells_finalized;
-    T* arg_cell = nullptr;
-    if (argm_ != nullptr) {
-      arg_cell = argm_->data() + (Cb - mat_->data()) + r * bs_ + c;
-      if (karg != T(-2)) *arg_cell = karg;
-    }
     if (!general_) {
       Cb[r * bs_ + c] = acc;
       return;
@@ -501,12 +449,7 @@ class BlockEngine {
     const T w = inst_->weight ? inst_->weight(gi, gj) : S::one();
     const T relaxed = S::times(w, acc);
     if constexpr (S::idempotent) {
-      if (S::improves(relaxed, init)) {
-        Cb[r * bs_ + c] = relaxed;
-      } else {
-        Cb[r * bs_ + c] = init;
-        if (arg_cell != nullptr) *arg_cell = T(-1);  // the init survived
-      }
+      Cb[r * bs_ + c] = S::improves(relaxed, init) ? relaxed : init;
     } else {
       Cb[r * bs_ + c] = S::plus(init, relaxed);
     }
@@ -520,7 +463,6 @@ class BlockEngine {
   bool general_;
   bool ktg_ = false;
   EngineStats* stats_ = nullptr;
-  BlockedTriangularMatrix<T>* argm_ = nullptr;
   aligned_vector<T> ku_, kv_, kw_;  // padded copies; empty when no k-term
 };
 

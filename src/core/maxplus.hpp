@@ -1,79 +1,20 @@
 // Max-plus NPDP: d[i][j] = max(d[i][j], d[i][k] + d[k][j]).
 //
 // Some NPDP instances maximise (longest chains, maximum-score
-// parenthesizations). Historically this was served by the semiring
-// isomorphism
-//
-//   max-plus over x  ==  -( min-plus over -x )
-//
-// (negation maps +inf to -inf, sums to sums, max to min). The engine now
-// instantiates natively over MaxPlusSemiring, which lifts the adapter's
-// restriction on separable k-terms (u*v*w cannot be sign-flipped
-// factor-wise); the negation path is kept as a regression oracle because
-// float negation is exact, so both must agree bit-for-bit.
+// parenthesizations). The engine solves them natively: set
+// inst.semiring = SemiringId::MaxPlus and call any solve entry point.
+// This header keeps the direct max-plus golden model, written without the
+// semiring machinery so it checks that machinery independently.
 #pragma once
 
+#include <algorithm>
+
 #include "core/reference.hpp"
-#include "core/solve.hpp"
 
 namespace cellnpdp {
 
-namespace maxplus_detail {
-
-template <class T>
-NpdpInstance<T> negate_instance(const NpdpInstance<T>& inst) {
-  NpdpInstance<T> neg;
-  neg.n = inst.n;
-  // Capturing the source functors by value keeps the adapter safe even if
-  // the original instance goes away.
-  auto init = inst.init;
-  neg.init = [init](index_t i, index_t j) { return -init(i, j); };
-  if (inst.weight) {
-    auto w = inst.weight;
-    neg.weight = [w](index_t i, index_t j) { return -w(i, j); };
-  }
-  // The separable k-term cannot be sign-flipped through u*v*w factor-wise
-  // in general (three factors); callers needing it must use the native
-  // max-plus path.
-  neg.ku = nullptr;
-  neg.kv = nullptr;
-  neg.kw = nullptr;
-  return neg;
-}
-
-}  // namespace maxplus_detail
-
-/// Solves the max-plus analogue of the instance (init/weight interpreted
-/// under max): d[i][j] = max(init, [weight +] max_k d[i][k] + d[k][j]
-/// [+ ku[i]*kv[k]*kw[j]]). Runs the engine's native MaxPlusSemiring
-/// instantiation, so separable k-terms are supported.
-template <class T>
-BlockedTriangularMatrix<T> solve_blocked_maxplus(const NpdpInstance<T>& inst,
-                                                 const NpdpOptions& opts) {
-  NpdpInstance<T> mp = inst;
-  mp.semiring = SemiringId::MaxPlus;
-  return solve_blocked(mp, opts);
-}
-
-/// The historical negate-and-solve adapter, preserved as a regression
-/// oracle for the native path: float negation is exact, so the two must
-/// agree bit-for-bit on every instance both accept. Separable k-terms are
-/// not supported through this adapter.
-template <class T>
-BlockedTriangularMatrix<T> solve_blocked_maxplus_via_negation(
-    const NpdpInstance<T>& inst, const NpdpOptions& opts) {
-  if (inst.ku != nullptr)
-    throw std::invalid_argument(
-        "solve_blocked_maxplus_via_negation: separable k-terms unsupported");
-  const auto neg = maxplus_detail::negate_instance(inst);
-  auto table = solve_blocked(neg, opts);
-  T* p = table.data();
-  for (index_t c = 0; c < table.total_cells(); ++c) p[c] = -p[c];
-  return table;
-}
-
-/// Golden model for the max-plus semantics (direct, no negation), used by
-/// tests to validate both blocked paths.
+/// Golden model for the max-plus semantics (init/weight interpreted under
+/// max, separable k-term included), used by tests to validate the engine.
 template <class T>
 TriangularMatrix<T> solve_reference_maxplus(const NpdpInstance<T>& inst) {
   const index_t n = inst.n;

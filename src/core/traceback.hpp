@@ -1,74 +1,91 @@
-// Optimal-decision recovery.
+// Optimal-decision recovery by recomputation.
 //
-// With argmin tracking enabled the engine records, per cell, the k whose
-// relaxation produced the final value (or -1 when the seed / init value
-// survived). visit_splits() walks the implied binary split tree — the
-// optimal parenthesization / BST shape / bifurcation structure.
+// The engine computes values only. recover_split() re-evaluates one cell's
+// recurrence over its final neighbours in a solved table and returns the
+// split k that wins, so traceback needs no second table and no tracking
+// kernels, and works the same after any driver, kernel or block side.
+// visit_splits() walks the implied binary split tree — the optimal
+// parenthesization / BST shape / bifurcation structure.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <stdexcept>
 
-#include "core/engine.hpp"
 #include "core/instance.hpp"
-#include "core/solve.hpp"
 
 namespace cellnpdp {
 
-template <class T>
-struct NpdpSolution {
-  BlockedTriangularMatrix<T> values;
-  BlockedTriangularMatrix<T> argmin;  ///< k per cell, as T; -1 = no split
+namespace traceback_detail {
 
-  index_t argmin_at(index_t i, index_t j) const {
-    return static_cast<index_t>(argmin.at(i, j));
-  }
-};
-
-/// Solves with argmin tracking (serial blocked engine), honouring the
-/// context's cancel token at memory-block granularity. On Cancelled the
-/// solution holds a partial (never torn) pair of tables.
-template <class T>
-SolveStatus solve_blocked_with_argmin_into(NpdpSolution<T>& sol,
-                                           const NpdpInstance<T>& inst,
-                                           const ExecutionContext& ctx) {
-  BlockEngine<T> engine(sol.values, inst, ctx.tuning);
-  engine.set_argmin(&sol.argmin);
-  engine.seed();
-  const index_t m = engine.blocks_per_side();
-  for (index_t bj = 0; bj < m; ++bj)
-    for (index_t bi = bj; bi >= 0; --bi) {
-      if (ctx.poll()) return SolveStatus::Cancelled;
-      engine.compute_block(bi, bj);
+/// recover_split in semiring S. Same expressions, in the same association
+/// order, as solve_reference_semiring; the strict S::improves compare the
+/// engine relaxes with picks the earliest k on ties.
+template <class S, class T, class Table>
+index_t recover_split(const Table& d, const NpdpInstance<T>& inst, index_t i,
+                      index_t j) {
+  const bool general = inst.general_mode();
+  const T init = inst.init(i, j);
+  T acc = general ? S::zero() : S::plus(init, S::times(init, d.at(i, i)));
+  index_t best = -1;
+  for (index_t k = i + 1; k < j; ++k) {
+    T cand = S::times(d.at(i, k), d.at(k, j));
+    if (inst.ku != nullptr)
+      cand = S::times(cand, inst.ku[i] * inst.kv[k] * inst.kw[j]);
+    if (inst.kterm) cand = S::times(cand, inst.kterm(i, k, j));
+    if (S::improves(cand, acc)) {
+      acc = cand;
+      best = k;
     }
-  return SolveStatus::Ok;
+  }
+  if (general) {
+    const T w = inst.weight ? inst.weight(i, j) : S::one();
+    if (!S::improves(S::times(w, acc), init)) return -1;  // init survived
+  }
+  return best;
 }
 
-/// Solves with argmin tracking (serial blocked engine).
-template <class T>
-NpdpSolution<T> solve_blocked_with_argmin(const NpdpInstance<T>& inst,
-                                          const NpdpOptions& opts) {
-  NpdpSolution<T> sol{
-      BlockedTriangularMatrix<T>(inst.n, opts.block_side),
-      BlockedTriangularMatrix<T>(inst.n, opts.block_side)};
-  ExecutionContext ctx;
-  ctx.tuning = opts;
-  solve_blocked_with_argmin_into(sol, inst, ctx);
-  return sol;
+template <class S, class T, class Table, class Fn>
+void visit_splits(const Table& d, const NpdpInstance<T>& inst, index_t i,
+                  index_t j, Fn& fn) {
+  if (i >= j) return;
+  const index_t k = recover_split<S>(d, inst, i, j);
+  if (k < 0) return;  // seed value survived: leaf
+  fn(i, k, j);
+  visit_splits<S>(d, inst, i, k, fn);
+  visit_splits<S>(d, inst, k, j, fn);
+}
+
+[[noreturn]] inline void throw_counting() {
+  // Counting sums every split: there is no decision to recover.
+  throw std::invalid_argument("traceback requires an idempotent semiring");
+}
+
+}  // namespace traceback_detail
+
+/// The optimal split of cell (i, j) of the solved table `d` (any layout
+/// with at(i, j)): the earliest k whose candidate strictly improves on all
+/// earlier ones, or -1 when the seed / init value survives. O(j - i).
+/// Throws std::invalid_argument for the counting semiring.
+template <class T, class Table>
+index_t recover_split(const Table& d, const NpdpInstance<T>& inst, index_t i,
+                      index_t j) {
+  return with_semiring<T>(inst.semiring, [&](auto s) -> index_t {
+    using S = decltype(s);
+    if constexpr (!S::idempotent) traceback_detail::throw_counting();
+    else return traceback_detail::recover_split<S>(d, inst, i, j);
+  });
 }
 
 /// Calls fn(i, k, j) for every split on the optimal decision tree rooted at
 /// (i, j), recursing into (i,k) and (k,j). Cells whose value came from
-/// their seed are leaves.
-template <class T, class Fn>
-void visit_splits(const NpdpSolution<T>& sol, index_t i, index_t j,
-                  Fn&& fn) {
-  if (i >= j) return;
-  const index_t k = sol.argmin_at(i, j);
-  if (k < 0) return;  // seed value survived: leaf
-  fn(i, k, j);
-  visit_splits(sol, i, k, fn);
-  visit_splits(sol, k, j, fn);
+/// their seed are leaves. O(j - i) per visited node.
+template <class T, class Table, class Fn>
+void visit_splits(const Table& d, const NpdpInstance<T>& inst, index_t i,
+                  index_t j, Fn&& fn) {
+  with_semiring<T>(inst.semiring, [&](auto s) {
+    using S = decltype(s);
+    if constexpr (!S::idempotent) traceback_detail::throw_counting();
+    else traceback_detail::visit_splits<S>(d, inst, i, j, fn);
+  });
 }
 
 }  // namespace cellnpdp

@@ -8,14 +8,12 @@
 //            one of the "wider machines" ablations
 //
 // and by a semiring S (default min-plus): cb_kernel<T, S>(kind) returns
-// the bundle of S-specialised computing-block kernels. The argmin kernel
-// exists only for min-plus (arg is null otherwise; the engine guards it).
-// `block` is the stage-1 block-pair product: the register-blocked panel
-// kernel for Native and Wide, one whole-block scalar tile for Scalar.
+// the bundle of S-specialised computing-block kernels. `block` is the
+// stage-1 block-pair product: the register-blocked panel kernel for Native
+// and Wide, one whole-block scalar tile for Scalar.
 #pragma once
 
 #include <string_view>
-#include <type_traits>
 
 #include "simd/kernels.hpp"
 #include "simd/semiring.hpp"
@@ -38,14 +36,11 @@ struct CbKernel {
   using PureFn = void (*)(T*, index_t, const T*, index_t, const T*, index_t);
   using SepFn = void (*)(T*, index_t, const T*, index_t, const T*, index_t,
                          const T*, const T*, const T*);
-  using ArgFn = void (*)(T*, T*, index_t, const T*, index_t, const T*,
-                         index_t, index_t);
   using BlockFn = void (*)(T*, const T*, const T*, index_t);
 
   index_t width = 4;       ///< computing-block side in cells
   PureFn pure = nullptr;   ///< C = C (+) (A (x) B)
   SepFn sep = nullptr;     ///< with separable u*v*w factor
-  ArgFn arg = nullptr;     ///< pure relaxation + argmin-k (min-plus only)
   BlockFn block = nullptr; ///< C (+)= A (x) B over a whole bs x bs block pair
   KernelKind kind = KernelKind::Scalar;
 };
@@ -70,16 +65,6 @@ CELLNPDP_NOVEC void scalar_block(T* C, const T* A, const T* B, index_t bs) {
   semiring_tile_scalar<S, T>(C, bs, A, bs, B, bs, bs);
 }
 
-template <class T, int W>
-CELLNPDP_NOVEC void scalar_arg_fixed(T* C, T* KC, index_t sc, const T* A,
-                                     index_t sa, const T* B, index_t sb,
-                                     index_t kbase) {
-  minplus_tile_scalar_arg<T>(C, KC, sc, A, sa, B, sb, W, kbase,
-                             static_cast<const T*>(nullptr),
-                             static_cast<const T*>(nullptr),
-                             static_cast<const T*>(nullptr));
-}
-
 }  // namespace detail
 
 /// Returns the computing-block kernel bundle for (T, S, kind). The
@@ -87,7 +72,6 @@ CELLNPDP_NOVEC void scalar_arg_fixed(T* C, T* KC, index_t sc, const T* A,
 /// Defaults to min-plus, which keeps every historical call site intact.
 template <class T, class S = MinPlusSemiring<T>>
 CbKernel<T> cb_kernel(KernelKind kind) {
-  constexpr bool minplus = std::is_same_v<S, MinPlusSemiring<T>>;
   CbKernel<T> k;
   k.kind = kind;
   switch (kind) {
@@ -96,7 +80,6 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.pure = &detail::scalar_pure_fixed<S, T, 4>;
       k.sep = &detail::scalar_sep_fixed<S, T, 4>;
       k.block = &detail::scalar_block<S, T>;
-      if constexpr (minplus) k.arg = &detail::scalar_arg_fixed<T, 4>;
       break;
     case KernelKind::Native: {
       constexpr int W = sizeof(T) == 4 ? 4 : 2;
@@ -104,7 +87,6 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
       k.block = &semiring_block<S, T, W>;
-      if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
       break;
     }
     case KernelKind::Wide: {
@@ -113,7 +95,6 @@ CbKernel<T> cb_kernel(KernelKind kind) {
       k.pure = &semiring_cb<S, T, W>;
       k.sep = &semiring_cb_sep<S, T, W>;
       k.block = &semiring_block<S, T, W>;
-      if constexpr (minplus) k.arg = &minplus_cb_arg<T, W>;
       break;
     }
   }

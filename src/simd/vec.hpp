@@ -80,18 +80,6 @@ struct Vec {
     for (int i = 0; i < W; ++i) r.lane[i] = b.lane[i] > a.lane[i] ? b.lane[i] : a.lane[i];
     return r;
   }
-  /// Lane mask a < b (non-zero where true). Consumed only by vblend.
-  friend Vec vlt(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] < b.lane[i] ? T(1) : T(0);
-    return r;
-  }
-  /// mask ? a : b, lane-wise (mask lanes are all-ones or all-zero).
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < W; ++i) r.lane[i] = mask.lane[i] != T(0) ? a.lane[i] : b.lane[i];
-    return r;
-  }
 };
 
 #if CELLNPDP_HAVE_AVX2
@@ -112,10 +100,6 @@ struct Vec<float, 4> {
   friend Vec operator*(Vec a, Vec b) { return {_mm_mul_ps(a.v, b.v)}; }
   friend Vec vmin(Vec a, Vec b) { return {_mm_min_ps(b.v, a.v)}; }
   friend Vec vmax(Vec a, Vec b) { return {_mm_max_ps(b.v, a.v)}; }
-  friend Vec vlt(Vec a, Vec b) { return {_mm_cmplt_ps(a.v, b.v)}; }
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    return {_mm_blendv_ps(b.v, a.v, mask.v)};
-  }
 };
 
 template <>
@@ -138,12 +122,6 @@ struct Vec<float, 8> {
   friend Vec operator*(Vec a, Vec b) { return {_mm256_mul_ps(a.v, b.v)}; }
   friend Vec vmin(Vec a, Vec b) { return {_mm256_min_ps(b.v, a.v)}; }
   friend Vec vmax(Vec a, Vec b) { return {_mm256_max_ps(b.v, a.v)}; }
-  friend Vec vlt(Vec a, Vec b) {
-    return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)};
-  }
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    return {_mm256_blendv_ps(b.v, a.v, mask.v)};
-  }
 };
 
 template <>
@@ -162,10 +140,6 @@ struct Vec<double, 2> {
   friend Vec operator*(Vec a, Vec b) { return {_mm_mul_pd(a.v, b.v)}; }
   friend Vec vmin(Vec a, Vec b) { return {_mm_min_pd(b.v, a.v)}; }
   friend Vec vmax(Vec a, Vec b) { return {_mm_max_pd(b.v, a.v)}; }
-  friend Vec vlt(Vec a, Vec b) { return {_mm_cmplt_pd(a.v, b.v)}; }
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    return {_mm_blendv_pd(b.v, a.v, mask.v)};
-  }
 };
 
 template <>
@@ -187,12 +161,6 @@ struct Vec<double, 4> {
   friend Vec operator*(Vec a, Vec b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend Vec vmin(Vec a, Vec b) { return {_mm256_min_pd(b.v, a.v)}; }
   friend Vec vmax(Vec a, Vec b) { return {_mm256_max_pd(b.v, a.v)}; }
-  friend Vec vlt(Vec a, Vec b) {
-    return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)};
-  }
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    return {_mm256_blendv_pd(b.v, a.v, mask.v)};
-  }
 };
 
 template <>
@@ -217,10 +185,6 @@ struct Vec<std::int32_t, 4> {
   friend Vec operator*(Vec a, Vec b) { return {_mm_mullo_epi32(a.v, b.v)}; }
   friend Vec vmin(Vec a, Vec b) { return {_mm_min_epi32(a.v, b.v)}; }
   friend Vec vmax(Vec a, Vec b) { return {_mm_max_epi32(a.v, b.v)}; }
-  friend Vec vlt(Vec a, Vec b) { return {_mm_cmplt_epi32(a.v, b.v)}; }
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    return {_mm_blendv_epi8(b.v, a.v, mask.v)};
-  }
 };
 
 template <>
@@ -251,10 +215,6 @@ struct Vec<std::int32_t, 8> {
   }
   friend Vec vmin(Vec a, Vec b) { return {_mm256_min_epi32(a.v, b.v)}; }
   friend Vec vmax(Vec a, Vec b) { return {_mm256_max_epi32(a.v, b.v)}; }
-  friend Vec vlt(Vec a, Vec b) { return {_mm256_cmpgt_epi32(b.v, a.v)}; }
-  friend Vec vblend(Vec mask, Vec a, Vec b) {
-    return {_mm256_blendv_epi8(b.v, a.v, mask.v)};
-  }
 };
 
 #endif  // CELLNPDP_HAVE_AVX2

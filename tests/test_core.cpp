@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "core/maxplus.hpp"
 #include "core/reference.hpp"
 #include "core/solve.hpp"
 #include "layout/convert.hpp"
@@ -226,9 +225,7 @@ TEST(Engine, TriangleInequalityFixpoint) {
 }
 
 TEST(Engine, MaxPlusNegationAdapterIsBitIdenticalOracle) {
-  // The retired negate-and-solve adapter stays around exactly for this:
-  // float negation is exact, so on every instance the adapter accepts it
-  // must agree with the native MaxPlusSemiring instantiation bit for bit.
+  // Native max-plus against the semiring golden model, bit for bit.
   for (index_t n : {5, 40, 77}) {
     auto inst = random_instance<float>(n, 2026 + n);
     const auto base = inst.init;
@@ -239,13 +236,12 @@ TEST(Engine, MaxPlusNegationAdapterIsBitIdenticalOracle) {
     inst.weight = [](index_t i, index_t j) {
       return float((i + j) % 7) - 3.0f;
     };
+    inst.semiring = SemiringId::MaxPlus;
     NpdpOptions opts;
     opts.block_side = 16;
-    const auto native = solve_blocked_maxplus(inst, opts);
-    const auto adapter = solve_blocked_maxplus_via_negation(inst, opts);
-    EXPECT_EQ(max_abs_diff(to_triangular(native), to_triangular(adapter)),
-              0.0)
-        << "n=" << n;
+    const auto native = solve_blocked(inst, opts);
+    const auto ref = solve_reference_semiring<MaxPlusSemiring<float>>(inst);
+    EXPECT_EQ(max_abs_diff(ref, to_triangular(native)), 0.0) << "n=" << n;
   }
 }
 

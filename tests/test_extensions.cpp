@@ -90,15 +90,14 @@ TEST(IntNpdp, ArgminCertificateHoldsForInt32) {
   const auto inst = int_instance<std::int32_t>(60, 8);
   NpdpOptions opts;
   opts.block_side = 16;
-  const auto sol = solve_blocked_with_argmin(inst, opts);
+  const auto table = solve_blocked(inst, opts);
   for (index_t i = 0; i < 60; ++i)
     for (index_t j = i + 1; j < 60; ++j) {
-      const index_t k = sol.argmin_at(i, j);
+      const index_t k = recover_split(table, inst, i, j);
       if (k < 0) {
-        EXPECT_EQ(sol.values.at(i, j), inst.init(i, j));
+        EXPECT_EQ(table.at(i, j), inst.init(i, j));
       } else {
-        EXPECT_EQ(sol.values.at(i, j),
-                  sol.values.at(i, k) + sol.values.at(k, j));
+        EXPECT_EQ(table.at(i, j), table.at(i, k) + table.at(k, j));
       }
     }
 }
@@ -217,19 +216,20 @@ TEST(Wavefront, BarrierScheduleStillComputesCorrectly) {
   EXPECT_EQ(max_abs_diff(ref, to_triangular(out)), 0.0);
 }
 
-// --- max-plus adapter --------------------------------------------------------
+// --- max-plus ----------------------------------------------------------------
 
 TEST(MaxPlus, AdapterMatchesDirectGoldenModel) {
   for (index_t n : {1, 9, 40, 100}) {
     NpdpInstance<double> inst;
     inst.n = n;
+    inst.semiring = SemiringId::MaxPlus;
     inst.init = [n](index_t i, index_t j) {
       return random_init_value<double>(500 + static_cast<std::uint64_t>(n),
                                        i, j) - 50.0;  // mixed signs
     };
     NpdpOptions opts;
     opts.block_side = 16;
-    const auto got = solve_blocked_maxplus(inst, opts);
+    const auto got = solve_blocked(inst, opts);
     const auto ref = solve_reference_maxplus(inst);
     EXPECT_EQ(max_abs_diff(ref, to_triangular(got)), 0.0) << "n=" << n;
   }
@@ -238,13 +238,14 @@ TEST(MaxPlus, AdapterMatchesDirectGoldenModel) {
 TEST(MaxPlus, WeightedModeWorksThroughTheAdapter) {
   NpdpInstance<double> inst;
   inst.n = 60;
+  inst.semiring = SemiringId::MaxPlus;
   inst.init = [](index_t i, index_t j) {
     return i == j ? 0.0 : random_init_value<double>(7, i, j);
   };
   inst.weight = [](index_t i, index_t j) { return double((j - i) % 3); };
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto got = solve_blocked_maxplus(inst, opts);
+  const auto got = solve_blocked(inst, opts);
   const auto ref = solve_reference_maxplus(inst);
   EXPECT_EQ(max_abs_diff(ref, to_triangular(got)), 0.0);
 }
@@ -252,12 +253,13 @@ TEST(MaxPlus, WeightedModeWorksThroughTheAdapter) {
 TEST(MaxPlus, ResultDominatesEveryRelaxation) {
   NpdpInstance<float> inst;
   inst.n = 50;
+  inst.semiring = SemiringId::MaxPlus;
   inst.init = [](index_t i, index_t j) {
     return random_init_value<float>(31, i, j);
   };
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto out = solve_blocked_maxplus(inst, opts);
+  const auto out = solve_blocked(inst, opts);
   for (index_t i = 0; i < 50; ++i)
     for (index_t j = i + 1; j < 50; ++j) {
       EXPECT_GE(out.at(i, j), inst.init(i, j));
@@ -266,11 +268,12 @@ TEST(MaxPlus, ResultDominatesEveryRelaxation) {
     }
 }
 
-// The historical negation adapter could not carry a separable k-term
-// (u*v*w has no factor-wise sign flip); the native instantiation can.
+// u*v*w has no factor-wise sign flip, so this instance cannot be solved as
+// negated min-plus; the native max-plus engine carries it.
 TEST(MaxPlus, SeparableKTermWorksNatively) {
   NpdpInstance<double> inst;
   inst.n = 40;
+  inst.semiring = SemiringId::MaxPlus;
   inst.init = [](index_t i, index_t j) {
     return random_init_value<double>(91, i, j) - 50.0;
   };
@@ -286,21 +289,9 @@ TEST(MaxPlus, SeparableKTermWorksNatively) {
   inst.kw = w.data();
   NpdpOptions opts;
   opts.block_side = 8;
-  const auto got = solve_blocked_maxplus(inst, opts);
+  const auto got = solve_blocked(inst, opts);
   const auto ref = solve_reference_maxplus(inst);
   EXPECT_EQ(max_abs_diff(ref, to_triangular(got)), 0.0);
-}
-
-TEST(MaxPlus, NegationAdapterStillRejectsSeparableKTerm) {
-  NpdpInstance<float> inst;
-  inst.n = 8;
-  inst.init = [](index_t, index_t) { return 0.0f; };
-  float u[8] = {};
-  inst.ku = inst.kv = inst.kw = u;
-  NpdpOptions opts;
-  opts.block_side = 8;
-  EXPECT_THROW(solve_blocked_maxplus_via_negation(inst, opts),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 
 #include "cellsim/work_model.hpp"
 #include "common/rng.hpp"
-#include "core/maxplus.hpp"
 #include "core/reference.hpp"
 #include "core/solve.hpp"
 #include "layout/convert.hpp"
@@ -427,11 +426,12 @@ TEST(SemiringSpecialValues, NanAndInfinityAgreeAcrossKernelsBitForBit) {
 }
 
 TEST(SemiringMaxPlus, NativeMatchesNegationAdapterBitForBit) {
-  // Float negation is exact, so the historical negate-and-solve adapter
-  // is a bit-level oracle for the native max-plus instantiation.
+  // Native max-plus against the semiring golden model, bit for bit, on
+  // mixed-sign seeds (where max and min give different closures).
   for (index_t n : {5, 40, 77}) {
     NpdpInstance<float> inst;
     inst.n = n;
+    inst.semiring = SemiringId::MaxPlus;
     inst.init = [n](index_t i, index_t j) {
       return random_init_value<float>(900 + static_cast<std::uint64_t>(n), i,
                                       j) -
@@ -439,10 +439,9 @@ TEST(SemiringMaxPlus, NativeMatchesNegationAdapterBitForBit) {
     };
     NpdpOptions opts;
     opts.block_side = 16;
-    const auto native = solve_blocked_maxplus(inst, opts);
-    const auto negated = solve_blocked_maxplus_via_negation(inst, opts);
-    expect_identical(to_triangular(negated), to_triangular(native),
-                     "native vs negation");
+    const auto native = solve_blocked(inst, opts);
+    expect_identical(solve_reference_semiring<MaxPlusSemiring<float>>(inst),
+                     native, "native vs golden model");
   }
 }
 

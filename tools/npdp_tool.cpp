@@ -97,7 +97,6 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "core/maxplus.hpp"
 #include "core/solve.hpp"
 #include "dist/in_process.hpp"
 #include "dist/stats_endpoint.hpp"
